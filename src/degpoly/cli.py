@@ -46,6 +46,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` converter for an integer flag with a lower bound;
+    a bad value goes through ``_Parser.error`` and exits 1."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names it in "invalid int value"
+    return convert
+
+
 def _default_max_n() -> int:
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
@@ -94,20 +108,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_realize = sub.add_parser("realize", help="exhaustive realizability search")
     p_realize.add_argument("sequence", help="sequence file path or inline sequence")
-    p_realize.add_argument("--max-n", type=int, default=None, help="search bound")
+    p_realize.add_argument(
+        "--max-n", type=_int_at_least(0), default=None, help="search bound"
+    )
     p_realize.add_argument(
         "--all",
         action="store_true",
         help="collect every isomorphism class instead of stopping at the first witness",
     )
     p_realize.add_argument("--dot", action="store_true", help="emit witnesses as DOT")
-    p_realize.add_argument("--workers", type=int, default=1)
+    p_realize.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p_classify = sub.add_parser(
         "classify", help="all degree polynomial sequences at one order"
     )
-    p_classify.add_argument("--n", type=int, required=True)
-    p_classify.add_argument("--workers", type=int, default=1)
+    p_classify.add_argument("--n", type=_int_at_least(1), required=True)
+    p_classify.add_argument("--workers", type=_int_at_least(1), default=1)
 
     return parser
 
@@ -278,7 +294,7 @@ def _cmd_realize(args) -> int:
         seq,
         max_n=max_n,
         want_all_witnesses=args.all,
-        workers=max(1, args.workers),
+        workers=args.workers,
     )
     lines = [f"sequence: {seq}"]
     lines.extend(_condition_lines(report.conditions))
@@ -300,7 +316,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    classified = realize_mod.classify_all(args.n, workers=max(1, args.workers))
+    classified = realize_mod.classify_all(args.n, workers=args.workers)
     lines = [f"{len(classified)} distinct sequences on {args.n} vertices"]
     for entry in classified:
         lines.append(f"{entry.isomorphism_classes} class(es): {entry.sequence}")

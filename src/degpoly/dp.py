@@ -19,7 +19,6 @@ from typing import Iterable, Optional
 
 from . import graphs
 from .errors import (
-    BadParamsError,
     InconsistentInputsError,
     IsolatedVertexError,
     PolyParseError,
@@ -141,18 +140,15 @@ def closed_form_sequence(kind: str, *params: int) -> PolySequence:
     cycle(n >= 3): n copies of 2x^2.
     complete_bipartite(r >= s >= 1): s copies of r*x^s and r copies of s*x^r.
     """
+    graphs.check_family(kind, *params)
     mono = DegreePoly.monomial
     if kind == "complete":
-        (n,) = _check_params(kind, params, 1)
-        if n < 1:
-            raise BadParamsError(f"complete graph needs n >= 1, got {n}")
+        (n,) = params
         if n == 1:
             raise IsolatedVertexError(["v0"])
         return PolySequence.from_polys([mono(n - 1, n - 1)] * n)
     if kind == "path":
-        (n,) = _check_params(kind, params, 1)
-        if n < 2:
-            raise BadParamsError(f"path needs n >= 2, got {n}")
+        (n,) = params
         if n == 2:
             return PolySequence.from_polys([mono(1), mono(1)])
         if n == 3:
@@ -161,24 +157,10 @@ def closed_form_sequence(kind: str, *params: int) -> PolySequence:
         polys = [mono(2, 2)] * (n - 4) + [mixed, mixed, mono(2), mono(2)]
         return PolySequence.from_polys(polys)
     if kind == "cycle":
-        (n,) = _check_params(kind, params, 1)
-        if n < 3:
-            raise BadParamsError(f"cycle needs n >= 3, got {n}")
+        (n,) = params
         return PolySequence.from_polys([mono(2, 2)] * n)
-    if kind == "complete_bipartite":
-        r, s = _check_params(kind, params, 2)
-        if not r >= s >= 1:
-            raise BadParamsError(f"complete bipartite needs r >= s >= 1, got ({r}, {s})")
-        return PolySequence.from_polys([mono(s, r)] * s + [mono(r, s)] * r)
-    raise BadParamsError(
-        f"unknown family {kind!r}; known: {', '.join(graphs.FAMILY_KINDS)}"
-    )
-
-
-def _check_params(kind: str, params: tuple[int, ...], arity: int) -> tuple[int, ...]:
-    if len(params) != arity:
-        raise BadParamsError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
-    return params
+    r, s = params  # complete_bipartite
+    return PolySequence.from_polys([mono(s, r)] * s + [mono(r, s)] * r)
 
 
 def regularity_from_sequence(seq: PolySequence) -> Optional[int]:

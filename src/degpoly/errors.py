@@ -47,7 +47,8 @@ class EdgeListFormatError(DegpolyError):
 
 
 class BadParamsError(DegpolyError):
-    """Graph family parameters violate the family's bounds."""
+    """Parameters violate their bounds: a graph family's parameters, or a
+    worker count below one."""
 
 
 class BadVertexError(DegpolyError):
@@ -79,3 +80,8 @@ class ZeroEntryError(DegpolyError):
 
 class NotSortedError(DegpolyError):
     """A degree sequence argument was not non-increasing."""
+
+
+class WitnessVerificationError(DegpolyError):
+    """A graph the realizability search accepted does not have the target
+    sequence when re-derived; this is an internal invariant failure."""

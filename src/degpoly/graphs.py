@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BadParamsError,
@@ -186,47 +186,71 @@ def empty_graph(n: int, labels: Optional[Sequence[str]] = None) -> SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    if n < 1:
-        raise BadParamsError(f"complete graph needs n >= 1, got {n}")
+    check_family("complete", n)
     return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def path_graph(n: int) -> SimpleGraph:
-    if n < 2:
-        raise BadParamsError(f"path needs n >= 2, got {n}")
+    check_family("path", n)
     return SimpleGraph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> SimpleGraph:
-    if n < 3:
-        raise BadParamsError(f"cycle needs n >= 3, got {n}")
+    check_family("cycle", n)
     return SimpleGraph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_bipartite_graph(r: int, s: int) -> SimpleGraph:
-    if not r >= s >= 1:
-        raise BadParamsError(f"complete bipartite needs r >= s >= 1, got ({r}, {s})")
+    check_family("complete_bipartite", r, s)
     edges = ((i, r + j) for i in range(r) for j in range(s))
     return SimpleGraph.from_edges(r + s, edges)
 
 
-FAMILY_KINDS = ("complete", "path", "cycle", "complete_bipartite")
+@dataclass(frozen=True)
+class _Family:
+    arity: int
+    valid: Callable[..., bool]
+    requirement: str
+    build: Callable[..., SimpleGraph]
+
+
+# The one table of standard families: the builders, ``family``, the CLI's
+# choices and ``dp.closed_form_sequence`` all check parameters through it.
+_FAMILIES = {
+    "complete": _Family(
+        1, lambda n: n >= 1, "complete graph needs n >= 1", complete_graph
+    ),
+    "path": _Family(1, lambda n: n >= 2, "path needs n >= 2", path_graph),
+    "cycle": _Family(1, lambda n: n >= 3, "cycle needs n >= 3", cycle_graph),
+    "complete_bipartite": _Family(
+        2,
+        lambda r, s: r >= s >= 1,
+        "complete bipartite needs r >= s >= 1",
+        complete_bipartite_graph,
+    ),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
+def check_family(kind: str, *params: int) -> None:
+    """Raise BadParamsError unless ``kind`` names a standard family and
+    ``params`` meet its arity and bounds."""
+    spec = _FAMILIES.get(kind)
+    if spec is None:
+        raise BadParamsError(f"unknown family {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    if len(params) != spec.arity:
+        raise BadParamsError(
+            f"family {kind!r} takes {spec.arity} parameter(s), got {len(params)}"
+        )
+    if not spec.valid(*params):
+        got = params[0] if spec.arity == 1 else params
+        raise BadParamsError(f"{spec.requirement}, got {got}")
 
 
 def family(kind: str, *params: int) -> SimpleGraph:
     """Dispatch to a standard family by name."""
-    builders = {
-        "complete": (1, complete_graph),
-        "path": (1, path_graph),
-        "cycle": (1, cycle_graph),
-        "complete_bipartite": (2, complete_bipartite_graph),
-    }
-    if kind not in builders:
-        raise BadParamsError(f"unknown family {kind!r}; known: {', '.join(FAMILY_KINDS)}")
-    arity, builder = builders[kind]
-    if len(params) != arity:
-        raise BadParamsError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    check_family(kind, *params)
+    return _FAMILIES[kind].build(*params)
 
 
 # -- the five operations ----------------------------------------------------------

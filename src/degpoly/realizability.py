@@ -22,17 +22,28 @@ sequential order, so reports are byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .dp import PolySequence, degree_polynomial_sequence
-from .errors import NotSortedError, TooLargeError, ZeroEntryError
+from .errors import (
+    BadParamsError,
+    NotSortedError,
+    TooLargeError,
+    WitnessVerificationError,
+    ZeroEntryError,
+)
 from .graphs import CanonicalForm, SimpleGraph, canonical_encoding, canonical_form
 from .poly import DegreePoly, coeff_stats, coeff_sum
 
 DEFAULT_SEARCH_MAX_N = 9
 CLASSIFY_MAX_N = 8
+
+# A pool keeps at most this many tasks per worker submitted ahead of the
+# result being consumed, so an early stop leaves little work to cancel.
+_TASKS_PER_WORKER = 4
 
 SeqLike = Union[PolySequence, Iterable[DegreePoly]]
 
@@ -183,8 +194,8 @@ def _iter_adj(
 
     Vertex u's partners among u+1..n-1 are chosen in ascending combinations;
     branches die as soon as any vertex's remaining degree exceeds the edges
-    still available to it.  ``first_row`` forces vertex 0's partner set,
-    which is how the search space is partitioned across workers.
+    still available to it.  ``first_row``, one of vertex 0's combinations,
+    replaces all of them; this is how ``_search_tasks`` splits the search.
     """
     n = len(degvec)
     if sum(degvec) % 2:
@@ -194,24 +205,6 @@ def _iter_adj(
     residual = list(degvec)
     adj: list[list[int]] = [[] for _ in range(n)]
 
-    def take(u: int, combo: tuple[int, ...]) -> None:
-        residual[u] = 0
-        for v in combo:
-            residual[v] -= 1
-            adj[u].append(v)
-            adj[v].append(u)
-
-    def untake(u: int, k: int, combo: tuple[int, ...]) -> None:
-        residual[u] = k
-        for v in combo:
-            residual[v] += 1
-            adj[v].pop()
-        del adj[u][len(adj[u]) - len(combo) :]
-
-    def feasible_after(u: int) -> bool:
-        cap = n - u - 2
-        return all(residual[v] <= cap for v in range(u + 1, n))
-
     def rec(u: int) -> Iterator[list[list[int]]]:
         if u == n:
             yield adj
@@ -220,25 +213,30 @@ def _iter_adj(
         if k == 0:
             yield from rec(u + 1)
             return
-        cands = [v for v in range(u + 1, n) if residual[v] > 0]
-        if len(cands) < k:
-            return
-        for combo in itertools.combinations(cands, k):
-            take(u, combo)
-            if feasible_after(u):
+        if u == 0 and first_row is not None:
+            combos: Iterable[tuple[int, ...]] = (first_row,)
+        else:
+            cands = [v for v in range(u + 1, n) if residual[v] > 0]
+            if len(cands) < k:
+                return
+            combos = itertools.combinations(cands, k)
+        cap = n - u - 2
+        row = adj[u]
+        for combo in combos:
+            residual[u] = 0
+            for v in combo:
+                residual[v] -= 1
+                row.append(v)
+                adj[v].append(u)
+            if all(residual[v] <= cap for v in range(u + 1, n)):
                 yield from rec(u + 1)
-            untake(u, k, combo)
+            residual[u] = k
+            for v in combo:
+                residual[v] += 1
+                adj[v].pop()
+            del row[len(row) - k :]
 
-    if first_row is None:
-        yield from rec(0)
-        return
-    k0 = residual[0]
-    if len(first_row) != k0 or any(residual[v] <= 0 for v in first_row):
-        return
-    take(0, first_row)
-    if feasible_after(0):
-        yield from rec(1)
-    untake(0, k0, first_row)
+    yield from rec(0)
 
 
 def _adj_edges(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -327,10 +325,6 @@ def _dp_key_from_adj(
     return tuple(per_vertex)
 
 
-def _sequence_key(seq: PolySequence) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return seq.multiset()
-
-
 # -- necessary conditions ------------------------------------------------------------
 
 
@@ -353,12 +347,13 @@ class ConditionReport:
 
     @property
     def all_pass(self) -> bool:
+        # The basic facts are not a separate term: Erdos-Gallai on the
+        # projection, whose entries are all positive, implies all four.
         return (
             self.cond_a_pass
             and self.cond_b_pass
             and self.cond_c_pass
             and self.projection_graphical
-            and self.facts.all_hold
         )
 
     def first_failure(self) -> Optional[str]:
@@ -368,7 +363,7 @@ class ConditionReport:
             return "(b)"
         if not self.cond_c_pass:
             return "(c)"
-        if not self.projection_graphical or not self.facts.all_hold:
+        if not self.projection_graphical:
             return "projection"
         return None
 
@@ -514,6 +509,39 @@ class RealizabilityReport:
         }
 
 
+def _ordered_map(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
+    """``fn`` over ``payloads``, results in payload order.
+
+    One worker is the built-in ``map``.  More run the calls in a pool of
+    spawned processes that holds a bounded window of submitted tasks;
+    closing the iterator early cancels the tasks that have not started.
+    """
+    if workers == 1:
+        yield from map(fn, payloads)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    window: deque = deque()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        try:
+            for payload in payloads:
+                window.append(pool.submit(fn, payload))
+                if len(window) >= _TASKS_PER_WORKER * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise BadParamsError(f"workers must be at least 1, got {workers}")
+
+
 def _search_tasks(
     d_desc: Sequence[int],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -560,6 +588,7 @@ def realize(
     exhaustive.  Sequences longer than ``max_n`` are not searched; the
     report then stays honestly inconclusive instead of sampling.
     """
+    _check_workers(workers)
     if not isinstance(seq, PolySequence):
         seq = PolySequence.from_polys(seq)
     conditions = necessary_conditions(seq)
@@ -591,37 +620,22 @@ def realize(
             False, False, (), None, f"order {n} exceeds the search bound {max_n}"
         )
 
-    target_key = _sequence_key(seq)
-    d = conditions.projection
+    target_key = seq.multiset()
     payloads = (
-        (assignment, row, target_key) for assignment, row in _search_tasks(d)
+        (assignment, row, target_key)
+        for assignment, row in _search_tasks(conditions.projection)
     )
 
     witnesses: list[Witness] = []
     seen: set[CanonicalForm] = set()
     exhaustive = True
-
-    def absorb(edges: tuple[tuple[int, int], ...]) -> None:
-        g = SimpleGraph.from_edges(n, edges)
-        form = canonical_form(g)
-        if form not in seen:
-            seen.add(form)
-            witnesses.append(Witness(form, edges))
-
-    if workers > 1 and want_all_witnesses:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for matches in pool.map(_realize_task, payloads):
-                for edges in matches:
-                    absorb(edges)
-    else:
-        stop = False
-        for payload in payloads:
-            for edges in _realize_task(payload):
-                absorb(edges)
-                if not want_all_witnesses:
-                    stop = True
-                    break
-            if stop:
+    with closing(_ordered_map(_realize_task, payloads, workers)) as results:
+        for edges in itertools.chain.from_iterable(results):
+            form = canonical_form(SimpleGraph.from_edges(n, edges))
+            if form not in seen:
+                seen.add(form)
+                witnesses.append(Witness(form, edges))
+            if not want_all_witnesses:
                 exhaustive = False
                 break
 
@@ -629,8 +643,10 @@ def realize(
     # public path and insist it matches the target.
     for w in witnesses:
         regenerated = degree_polynomial_sequence(w.graph())
-        if regenerated.multiset() != seq.multiset():
-            raise AssertionError("witness failed re-verification")
+        if regenerated.multiset() != target_key:
+            raise WitnessVerificationError(
+                f"witness {list(w.edges)} has sequence {regenerated}, not {seq}"
+            )
 
     if witnesses:
         verdict: Optional[bool] = True
@@ -659,14 +675,15 @@ class ClassifiedSequence:
         }
 
 
-def _classify_task(payload) -> dict:
-    n, d = payload
+def _classify_task(payload) -> dict[tuple, set[tuple]]:
+    """Canonical encodings of one work unit's graphs, grouped by key."""
+    assignment, first_row = payload
+    n = len(assignment)
     groups: dict[tuple, set[tuple]] = {}
-    for assignment in _distinct_assignments(d):
-        for adj in _iter_adj(assignment):
-            key = _dp_key_from_adj(assignment, adj)
-            masks = [sum(1 << w for w in row) for row in adj]
-            groups.setdefault(key, set()).add(canonical_encoding(n, masks))
+    for adj in _iter_adj(assignment, first_row):
+        key = _dp_key_from_adj(assignment, adj)
+        masks = [sum(1 << w for w in row) for row in adj]
+        groups.setdefault(key, set()).add(canonical_encoding(n, masks))
     return groups
 
 
@@ -676,16 +693,14 @@ def classify_all(
     """Group every isomorphism class of graphs on n vertices (no isolated
     vertices) by degree-polynomial sequence; returns each distinct sequence
     with its number of classes, sorted by sequence encoding."""
+    _check_workers(workers)
     if n > max_n:
         raise TooLargeError(f"classification limited to n <= {max_n}, got {n}")
-    payloads = [(n, d) for d in _graphical_positive_multisets(n)]
+    payloads = (
+        unit for d in _graphical_positive_multisets(n) for unit in _search_tasks(d)
+    )
     groups: dict[tuple, set[tuple]] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_classify_task, payloads))
-    else:
-        partials = [_classify_task(p) for p in payloads]
-    for partial in partials:
+    for partial in _ordered_map(_classify_task, payloads, workers):
         for key, forms in partial.items():
             groups.setdefault(key, set()).update(forms)
     out = []

@@ -17,6 +17,7 @@ from degpoly import (
     PolySequence,
     SimpleGraph,
     any_graph_exists,
+    basic_facts,
     closed_form_sequence,
     coeff_stats,
     compare_polys,
@@ -194,6 +195,7 @@ def test_criterion_9_oracle_agreement():
         for n in range(1, 8):
             for d in itertools.combinations_with_replacement(range(6, -1, -1), n):
                 eg = erdos_gallai(d)
+                assert not eg or basic_facts(d).all_hold, d
                 hh, witness = havel_hakimi(d)
                 bf = any_graph_exists(d)
                 if not (eg == hh == bf):
@@ -262,7 +264,10 @@ def test_criterion_12_worker_determinism():
             PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3"),
             PolySequence.from_polys([P("2x^2")] * 5),
         ]
-        for seq in sequences:
-            one = json.dumps(realize(seq, workers=1).to_dict(), separators=(",", ":"))
-            four = json.dumps(realize(seq, workers=4).to_dict(), separators=(",", ":"))
+        for seq, want_all in itertools.product(sequences, (True, False)):
+            reports = [
+                realize(seq, want_all_witnesses=want_all, workers=workers).to_dict()
+                for workers in (1, 4)
+            ]
+            one, four = (json.dumps(r, separators=(",", ":")) for r in reports)
             assert one == four

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from degpoly import PolySequence, realizability
 from degpoly.cli import main
 
 PAW_EDGES = "a b\na c\nb c\nc d\n"
@@ -183,10 +186,22 @@ class TestRealize:
 
     def test_workers_flag_byte_identical(self, capsys):
         base = ("--format", "structured", "realize",
-                "2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3", "--all")
-        _, out1, _ = run(capsys, *base, "--workers", "1")
-        _, out4, _ = run(capsys, *base, "--workers", "4")
-        assert out1 == out4
+                "2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
+        for mode in (("--all",), ()):
+            _, out1, _ = run(capsys, *base, *mode, "--workers", "1")
+            _, out4, _ = run(capsys, *base, *mode, "--workers", "4")
+            assert out1 == out4
+
+    def test_failed_witness_recheck_is_a_data_error(self, capsys, monkeypatch):
+        seq = "2x^2, 2x, 2x, x, x"
+        accept_all = PolySequence.parse(seq).multiset()
+        monkeypatch.setattr(
+            realizability, "_dp_key_from_adj", lambda degvec, adj: accept_all
+        )
+        code, _, err = run(capsys, "realize", seq)
+        assert code == 1
+        assert err.startswith("error: WitnessVerificationError: ")
+        assert "Traceback" not in err
 
 
 class TestClassify:
@@ -217,6 +232,25 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--n", "-1"),
+            ("classify", "--n", "0"),
+            ("classify", "--n", "3", "--workers", "0"),
+            ("realize", "x, x", "--max-n", "-1"),
+            ("realize", "x, x", "--max-n", "two"),
+            ("realize", "x, x", "--workers", "0"),
+            ("realize", "x, x", "--workers", "-3"),
+            ("realize", "x, x", "--all", "--workers", "1.5"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error: usage: argument --" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -1,0 +1,82 @@
+"""Golden corpus: exit code and stdout of ``--format structured`` CLI runs.
+
+Each invocation below is replayed through ``degpoly.cli.main`` and its
+output compared byte for byte with ``golden_cli.json``.  The corpus guards
+refactors that must not change what the CLI prints, including the
+``--workers`` runs, which must match their serial twins.
+
+To rewrite the corpus after an intended output change, run
+``PYTHONPATH=src python tests/test_golden_cli.py`` and name the change in
+CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from degpoly.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+S4 = "2x^2, 2x, 2x, x, x"
+TWO_REALIZATIONS = "2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3"
+CYCLE_7 = ", ".join(["2x^2"] * 7)
+P3 = "a b\nb c\n"
+C4 = "p q\nq r\nr s\ns p\n"
+PAW = "a b\na c\nb c\nc d\n"
+
+
+def _invocations() -> dict[str, list[str]]:
+    out = {}
+    for name, seq in (("s4", S4), ("two", TWO_REALIZATIONS), ("c7", CYCLE_7)):
+        for mode in ("all", "first"):
+            for workers in ("1", "2"):
+                argv = ["realize", seq, "--workers", workers]
+                if mode == "all":
+                    argv.append("--all")
+                out[f"realize-{name}-{mode}-w{workers}"] = argv
+    out["check-s1"] = ["check", "2x, x^2, x, x, x"]
+    out["classify-5"] = ["classify", "--n", "5"]
+    out["classify-5-w2"] = ["classify", "--n", "5", "--workers", "2"]
+    out["family-built"] = ["family", "complete_bipartite", "3", "2"]
+    out["family-closed"] = ["family", "complete_bipartite", "3", "2", "--closed-form"]
+    for kind in ("join", "cartesian", "tensor", "lexicographic"):
+        out[f"op-{kind}"] = ["op", kind, P3, C4, "--verify"]
+    out["op-complement"] = ["op", "complement", PAW, "--verify"]
+    out["dp"] = ["dp", PAW]
+    return {name: ["--format", "structured", *argv] for name, argv in out.items()}
+
+
+INVOCATIONS = _invocations()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_golden_cli(name, golden):
+    want = golden[name]
+    assert want["argv"] == INVOCATIONS[name]
+    code, out = _run(INVOCATIONS[name])
+    assert code == want["exit"]
+    assert out.encode() == want["stdout"].encode()
+
+
+if __name__ == "__main__":
+    corpus = {}
+    for name, argv in sorted(INVOCATIONS.items()):
+        code, out = _run(argv)
+        corpus[name] = {"argv": argv, "exit": code, "stdout": out}
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import time
 from collections import Counter
+from contextlib import closing
 
 import pytest
 
@@ -23,7 +25,14 @@ from degpoly import (
     parse_poly,
     realize,
 )
-from degpoly.errors import NotSortedError, TooLargeError, ZeroEntryError
+from degpoly import realizability
+from degpoly.errors import (
+    BadParamsError,
+    NotSortedError,
+    TooLargeError,
+    WitnessVerificationError,
+    ZeroEntryError,
+)
 from helpers import all_graphs, degree_multiset, paw_graph
 
 P = parse_poly
@@ -255,9 +264,45 @@ class TestRealize:
         assert a == b
 
     def test_workers_do_not_change_bytes(self):
-        one = json.dumps(realize(SEQ_TWO_REALIZATIONS, workers=1).to_dict())
-        four = json.dumps(realize(SEQ_TWO_REALIZATIONS, workers=4).to_dict())
-        assert one == four
+        for want_all in (True, False):
+            one = realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=want_all, workers=1)
+            four = realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=want_all, workers=4)
+            assert json.dumps(one.to_dict()) == json.dumps(four.to_dict())
+
+    def test_early_stop_with_pool_is_prompt(self):
+        seq = PolySequence.from_polys([P("2x^2")] * 7)
+        t0 = time.perf_counter()
+        pooled = realize(seq, want_all_witnesses=False, workers=4)
+        assert time.perf_counter() - t0 < 5.0
+        serial = realize(seq, want_all_witnesses=False, workers=1)
+        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+        assert pooled.nonisomorphic_count == 1 and not pooled.exhaustive
+
+    def test_pool_pulls_a_bounded_window_and_stops(self):
+        pulled = []
+
+        def payloads():
+            for i in range(10_000):
+                pulled.append(i)
+                yield -i
+
+        with closing(realizability._ordered_map(abs, payloads(), 2)) as results:
+            assert [next(results) for _ in range(3)] == [0, 1, 2]
+        assert len(pulled) <= 2 * realizability._TASKS_PER_WORKER + 2
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(BadParamsError):
+            realize(S4, workers=0)
+        with pytest.raises(BadParamsError):
+            classify_all(3, workers=-1)
+
+    def test_failed_witness_recheck_raises_typed_error(self, monkeypatch):
+        accept_all = S4.multiset()
+        monkeypatch.setattr(
+            realizability, "_dp_key_from_adj", lambda degvec, adj: accept_all
+        )
+        with pytest.raises(WitnessVerificationError):
+            realize(S4)
 
 
 class TestClassifyAll:
