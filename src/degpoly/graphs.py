@@ -232,9 +232,7 @@ _FAMILIES = {
 FAMILY_KINDS = tuple(_FAMILIES)
 
 
-def check_family(kind: str, *params: int) -> None:
-    """Raise BadParamsError unless ``kind`` names a standard family and
-    ``params`` meet its arity and bounds."""
+def _family_spec(kind: str, params: tuple[int, ...]) -> _Family:
     spec = _FAMILIES.get(kind)
     if spec is None:
         raise BadParamsError(f"unknown family {kind!r}; known: {', '.join(FAMILY_KINDS)}")
@@ -242,15 +240,21 @@ def check_family(kind: str, *params: int) -> None:
         raise BadParamsError(
             f"family {kind!r} takes {spec.arity} parameter(s), got {len(params)}"
         )
+    return spec
+
+
+def check_family(kind: str, *params: int) -> None:
+    """Raise BadParamsError unless ``kind`` names a standard family and
+    ``params`` meet its arity and bounds."""
+    spec = _family_spec(kind, params)
     if not spec.valid(*params):
         got = params[0] if spec.arity == 1 else params
         raise BadParamsError(f"{spec.requirement}, got {got}")
 
 
 def family(kind: str, *params: int) -> SimpleGraph:
-    """Dispatch to a standard family by name."""
-    check_family(kind, *params)
-    return _FAMILIES[kind].build(*params)
+    """Dispatch to a standard family by name; the builder checks bounds."""
+    return _family_spec(kind, params).build(*params)
 
 
 # -- the five operations ----------------------------------------------------------

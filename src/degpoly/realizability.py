@@ -22,7 +22,6 @@ sequential order, so reports are byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -40,10 +39,6 @@ from .poly import DegreePoly, coeff_stats, coeff_sum
 
 DEFAULT_SEARCH_MAX_N = 9
 CLASSIFY_MAX_N = 8
-
-# A pool keeps at most this many tasks per worker submitted ahead of the
-# result being consumed, so an early stop leaves little work to cancel.
-_TASKS_PER_WORKER = 4
 
 SeqLike = Union[PolySequence, Iterable[DegreePoly]]
 
@@ -512,29 +507,18 @@ class RealizabilityReport:
 def _ordered_map(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
     """``fn`` over ``payloads``, results in payload order.
 
-    One worker is the built-in ``map``.  More run the calls in a pool of
-    spawned processes that holds a bounded window of submitted tasks;
-    closing the iterator early cancels the tasks that have not started.
+    One worker is the built-in ``map``.  More run the calls in a process
+    pool, which reads payloads only as fast as its task pipe drains;
+    closing the iterator early terminates the pool, so calls still running
+    are abandoned instead of waited for.
     """
     if workers == 1:
         yield from map(fn, payloads)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool
 
-    window: deque = deque()
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-        try:
-            for payload in payloads:
-                window.append(pool.submit(fn, payload))
-                if len(window) >= _TASKS_PER_WORKER * workers:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-        finally:
-            for future in window:
-                future.cancel()
+    with Pool(workers) as pool:
+        yield from pool.imap(fn, payloads)
 
 
 def _check_workers(workers: int) -> None:
@@ -675,15 +659,16 @@ class ClassifiedSequence:
         }
 
 
-def _classify_task(payload) -> dict[tuple, set[tuple]]:
-    """Canonical encodings of one work unit's graphs, grouped by key."""
-    assignment, first_row = payload
-    n = len(assignment)
+def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[tuple]]:
+    """Canonical encodings of the graphs with degree multiset ``d``,
+    grouped by degree-polynomial key."""
+    n = len(d)
     groups: dict[tuple, set[tuple]] = {}
-    for adj in _iter_adj(assignment, first_row):
-        key = _dp_key_from_adj(assignment, adj)
-        masks = [sum(1 << w for w in row) for row in adj]
-        groups.setdefault(key, set()).add(canonical_encoding(n, masks))
+    for assignment in _distinct_assignments(d):
+        for adj in _iter_adj(assignment):
+            key = _dp_key_from_adj(assignment, adj)
+            masks = [sum(1 << w for w in row) for row in adj]
+            groups.setdefault(key, set()).add(canonical_encoding(n, masks))
     return groups
 
 
@@ -696,11 +681,9 @@ def classify_all(
     _check_workers(workers)
     if n > max_n:
         raise TooLargeError(f"classification limited to n <= {max_n}, got {n}")
-    payloads = (
-        unit for d in _graphical_positive_multisets(n) for unit in _search_tasks(d)
-    )
+    multisets = _graphical_positive_multisets(n)
     groups: dict[tuple, set[tuple]] = {}
-    for partial in _ordered_map(_classify_task, payloads, workers):
+    for partial in _ordered_map(_classify_task, multisets, workers):
         for key, forms in partial.items():
             groups.setdefault(key, set()).update(forms)
     out = []
