@@ -60,14 +60,17 @@ def _int_at_least(low: int):
     return convert
 
 
-def _default_max_n() -> int:
+def _default_max_n(parser: argparse.ArgumentParser) -> int:
+    """The search bound from ``DEGPOLY_MAX_N``, checked like ``--max-n``."""
     raw = os.environ.get(ENV_MAX_N)
     if raw is None:
         return realize_mod.DEFAULT_SEARCH_MAX_N
     try:
-        return int(raw)
+        return _int_at_least(0)(raw)
     except ValueError:
-        raise DegpolyError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+        parser.error(f"{ENV_MAX_N}: invalid int value: {raw!r}")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{ENV_MAX_N}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,10 +292,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_realize(args) -> int:
     seq = _load_sequence(args.sequence)
-    max_n = args.max_n if args.max_n is not None else _default_max_n()
     report = realize_mod.realize(
         seq,
-        max_n=max_n,
+        max_n=args.max_n,
         want_all_witnesses=args.all,
         workers=args.workers,
     )
@@ -343,6 +345,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "realize" and args.max_n is None:
+            args.max_n = _default_max_n(parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

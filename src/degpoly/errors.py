@@ -47,8 +47,8 @@ class EdgeListFormatError(DegpolyError):
 
 
 class BadParamsError(DegpolyError):
-    """Parameters violate their bounds: a graph family's parameters, or a
-    worker count below one."""
+    """Parameters violate their bounds: a graph family's parameters, a
+    worker count below one, or a classification order below one."""
 
 
 class BadVertexError(DegpolyError):

@@ -8,23 +8,28 @@ This module layers three kinds of evidence:
   sums, support counts, parity of the even-exponent sums split by class);
 * classical graphical-sequence tests (Erdos-Gallai, Havel-Hakimi) on the
   integer projection obtained by summing each entry's coefficients;
-* an exhaustive, exact search over all labeled graphs with the projected
+* an exhaustive, exact search over the labeled graphs with the projected
   degree multiset, deduplicated up to isomorphism by canonical form.
 
-The search is deterministic: graphs are visited assignment by assignment
-(distinct arrangements of the degree multiset in descending lexicographic
-order), and within an assignment by backtracking over each vertex's
-partner choices in ascending order.  Work can be partitioned across
-processes by (assignment, first-row choice) prefixes; merging respects the
-sequential order, so reports are byte-identical for any worker count.
+The search needs isomorphism classes only, and every graph can be
+relabeled so that its degrees are non-increasing, so it visits the single
+non-increasing degree assignment.  Within it, it backtracks over each
+vertex's partner choices in ascending order; as soon as a vertex's
+neighbourhood is complete its degree polynomial is fixed, and the branch
+dies unless that polynomial is still owed to the target multiset.  Work can
+be partitioned across processes by vertex 0's partner set; merging
+respects the sequential order, so reports are byte-identical for any
+worker count.  The labeled enumerators (``iter_labeled_graphs`` and
+friends) count labeled graphs and so still visit every assignment.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .dp import PolySequence, degree_polynomial_sequence
 from .errors import (
@@ -182,7 +187,9 @@ def _distinct_assignments(d_desc: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _iter_adj(
-    degvec: Sequence[int], first_row: Optional[tuple[int, ...]] = None
+    degvec: Sequence[int],
+    first_row: Optional[tuple[int, ...]] = None,
+    target: Optional[Mapping[tuple, int]] = None,
 ) -> Iterator[list[list[int]]]:
     """Backtrack over each vertex's partner choices; yields a live adjacency
     (list of neighbor lists) that the consumer must not keep or mutate.
@@ -191,6 +198,10 @@ def _iter_adj(
     branches die as soon as any vertex's remaining degree exceeds the edges
     still available to it.  ``first_row``, one of vertex 0's combinations,
     replaces all of them; this is how ``_search_tasks`` splits the search.
+    ``target`` counts the vertex keys (see ``_vertex_key``) a graph must
+    have: once u's row is chosen its neighbourhood is complete, and the
+    branch dies unless u's key is still owed, so every yielded graph has
+    exactly that multiset of keys.
     """
     n = len(degvec)
     if sum(degvec) % 2:
@@ -199,6 +210,7 @@ def _iter_adj(
         return
     residual = list(degvec)
     adj: list[list[int]] = [[] for _ in range(n)]
+    owed = None if target is None else dict(target)
 
     def rec(u: int) -> Iterator[list[list[int]]]:
         if u == n:
@@ -206,7 +218,7 @@ def _iter_adj(
             return
         k = residual[u]
         if k == 0:
-            yield from rec(u + 1)
+            yield from step(u)
             return
         if u == 0 and first_row is not None:
             combos: Iterable[tuple[int, ...]] = (first_row,)
@@ -224,14 +236,38 @@ def _iter_adj(
                 row.append(v)
                 adj[v].append(u)
             if all(residual[v] <= cap for v in range(u + 1, n)):
-                yield from rec(u + 1)
+                yield from step(u)
             residual[u] = k
             for v in combo:
                 residual[v] += 1
                 adj[v].pop()
             del row[len(row) - k :]
 
+    def charge(u: int) -> Iterator[list[list[int]]]:
+        """u's neighbourhood is final: go on to u+1 if u's key is owed."""
+        key = _vertex_key(degvec, adj[u])
+        left = owed.get(key, 0)
+        if left:
+            owed[key] = left - 1
+            yield from rec(u + 1)
+            owed[key] = left
+
+    # Without a target, go straight on: one more generator layer per vertex
+    # slows the labeled enumerators by about a sixth.
+    step = charge if owed is not None else lambda u: rec(u + 1)
     yield from rec(0)
+
+
+def _vertex_key(
+    degvec: Sequence[int], neighbors: Iterable[int]
+) -> tuple[tuple[int, int], ...]:
+    """Degree polynomial of a vertex with these neighbors, as its
+    descending (exponent, coefficient) pairs: ``tuple(DegreePoly)``."""
+    counts: dict[int, int] = {}
+    for w in neighbors:
+        dw = degvec[w]
+        counts[dw] = counts.get(dw, 0) + 1
+    return tuple(sorted(counts.items(), reverse=True))
 
 
 def _adj_edges(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -299,25 +335,6 @@ def _graphical_positive_multisets(n: int) -> Iterator[tuple[int, ...]]:
 
     if n >= 1:
         yield from rec([], n, n - 1)
-
-
-# -- fast degree-polynomial keys for the search -----------------------------------
-
-
-def _dp_key_from_adj(
-    degvec: Sequence[int], adj: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Multiset key of vertex degree polynomials: per vertex the descending
-    (exponent, coefficient) pairs, sorted across vertices."""
-    per_vertex = []
-    for v in range(len(degvec)):
-        counts: dict[int, int] = {}
-        for w in adj[v]:
-            dw = degvec[w]
-            counts[dw] = counts.get(dw, 0) + 1
-        per_vertex.append(tuple(sorted(counts.items(), reverse=True)))
-    per_vertex.sort()
-    return tuple(per_vertex)
 
 
 # -- necessary conditions ------------------------------------------------------------
@@ -526,32 +543,33 @@ def _check_workers(workers: int) -> None:
         raise BadParamsError(f"workers must be at least 1, got {workers}")
 
 
-def _search_tasks(
-    d_desc: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Deterministic work units: (degree assignment, forced first-row
-    partner set).  Concatenating the units' outputs in generation order
-    equals the single-threaded enumeration order."""
+def _search_tasks(d_desc: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Deterministic work units of a search over the non-increasing
+    assignment ``d_desc``: vertex 0's partner sets.  Concatenating the
+    units' outputs in generation order equals the single-process order."""
     n = len(d_desc)
-    for assignment in _distinct_assignments(d_desc):
-        k0 = assignment[0] if n else 0
-        if k0 == 0:
-            yield assignment, ()
-            continue
-        cands = [v for v in range(1, n) if assignment[v] > 0]
-        if len(cands) < k0:
-            continue
-        for combo in itertools.combinations(cands, k0):
-            yield assignment, combo
+    k0 = d_desc[0] if n else 0
+    if k0 == 0:
+        yield ()
+        return
+    cands = [v for v in range(1, n) if d_desc[v] > 0]
+    yield from itertools.combinations(cands, k0)
 
 
-def _realize_task(payload) -> list[tuple[tuple[int, int], ...]]:
-    assignment, first_row, target_key = payload
-    matches = []
-    for adj in _iter_adj(assignment, first_row):
-        if _dp_key_from_adj(assignment, adj) == target_key:
-            matches.append(_adj_edges(adj))
-    return matches
+def _realize_task(payload) -> list[tuple[CanonicalForm, tuple[tuple[int, int], ...]]]:
+    """The matches of one unit, one per isomorphism class in order of first
+    appearance, as (canonical form, edges); only the first if not
+    ``want_all``."""
+    d_desc, first_row, target, want_all = payload
+    n = len(d_desc)
+    found: dict[CanonicalForm, tuple[tuple[int, int], ...]] = {}
+    for adj in _iter_adj(d_desc, first_row, target):
+        edges = _adj_edges(adj)
+        form = canonical_form(SimpleGraph.from_edges(n, edges))
+        found.setdefault(form, edges)
+        if not want_all:
+            break
+    return list(found.items())
 
 
 def realize(
@@ -566,11 +584,13 @@ def realize(
 
     Pipeline: necessary conditions; if any fails (and conditions are not
     skipped) the sequence is unrealizable with the failing condition cited.
-    Otherwise every labeled graph with the projected degree multiset is
-    enumerated, graphs matching the sequence are kept and deduplicated up
-    to isomorphism, and the report states whether the search was
-    exhaustive.  Sequences longer than ``max_n`` are not searched; the
-    report then stays honestly inconclusive instead of sampling.
+    Otherwise the labeled graphs on the non-increasing projected degree
+    assignment whose vertex polynomials are owed by the sequence are
+    enumerated, each vertex checked as soon as its neighbourhood is final;
+    they are deduplicated up to isomorphism, and the report states whether
+    the search was exhaustive.  Sequences longer than ``max_n`` are not
+    searched; the report then stays honestly inconclusive instead of
+    sampling.
     """
     _check_workers(workers)
     if not isinstance(seq, PolySequence):
@@ -604,18 +624,17 @@ def realize(
             False, False, (), None, f"order {n} exceeds the search bound {max_n}"
         )
 
-    target_key = seq.multiset()
+    target = Counter(map(tuple, seq.entries))
+    d_desc = conditions.projection
     payloads = (
-        (assignment, row, target_key)
-        for assignment, row in _search_tasks(conditions.projection)
+        (d_desc, row, target, want_all_witnesses) for row in _search_tasks(d_desc)
     )
 
     witnesses: list[Witness] = []
     seen: set[CanonicalForm] = set()
     exhaustive = True
     with closing(_ordered_map(_realize_task, payloads, workers)) as results:
-        for edges in itertools.chain.from_iterable(results):
-            form = canonical_form(SimpleGraph.from_edges(n, edges))
+        for form, edges in itertools.chain.from_iterable(results):
             if form not in seen:
                 seen.add(form)
                 witnesses.append(Witness(form, edges))
@@ -627,7 +646,7 @@ def realize(
     # public path and insist it matches the target.
     for w in witnesses:
         regenerated = degree_polynomial_sequence(w.graph())
-        if regenerated.multiset() != target_key:
+        if regenerated.multiset() != seq.multiset():
             raise WitnessVerificationError(
                 f"witness {list(w.edges)} has sequence {regenerated}, not {seq}"
             )
@@ -661,14 +680,13 @@ class ClassifiedSequence:
 
 def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[tuple]]:
     """Canonical encodings of the graphs with degree multiset ``d``,
-    grouped by degree-polynomial key."""
+    grouped by degree-polynomial key (the sorted vertex keys)."""
     n = len(d)
     groups: dict[tuple, set[tuple]] = {}
-    for assignment in _distinct_assignments(d):
-        for adj in _iter_adj(assignment):
-            key = _dp_key_from_adj(assignment, adj)
-            masks = [sum(1 << w for w in row) for row in adj]
-            groups.setdefault(key, set()).add(canonical_encoding(n, masks))
+    for adj in _iter_adj(d):
+        key = tuple(sorted(_vertex_key(d, row) for row in adj))
+        masks = [sum(1 << w for w in row) for row in adj]
+        groups.setdefault(key, set()).add(canonical_encoding(n, masks))
     return groups
 
 
@@ -679,6 +697,8 @@ def classify_all(
     vertices) by degree-polynomial sequence; returns each distinct sequence
     with its number of classes, sorted by sequence encoding."""
     _check_workers(workers)
+    if n < 1:
+        raise BadParamsError(f"classification needs n >= 1, got {n}")
     if n > max_n:
         raise TooLargeError(f"classification limited to n <= {max_n}, got {n}")
     multisets = _graphical_positive_multisets(n)

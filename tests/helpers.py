@@ -9,7 +9,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from degpoly import DegreePoly, SimpleGraph
+from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
+from degpoly.realizability import (
+    RealizabilityReport,
+    Witness,
+    iter_labeled_graphs,
+    necessary_conditions,
+)
 
 
 def mask_graph(n: int, mask: int) -> SimpleGraph:
@@ -54,3 +60,56 @@ def paw_graph() -> SimpleGraph:
 
 def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted(g.degrees(), reverse=True))
+
+
+def dp_multiset(n: int, edges) -> tuple:
+    """Degree-polynomial multiset of a labeled graph straight from its
+    edges, in the form of ``PolySequence.multiset``."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    counts = [Counter() for _ in range(n)]
+    for u, v in edges:
+        counts[u][degree[v]] += 1
+        counts[v][degree[u]] += 1
+    return tuple(sorted(tuple(sorted(c.items(), reverse=True)) for c in counts))
+
+
+def oracle_realize(
+    seq: PolySequence, want_all_witnesses: bool = True
+) -> RealizabilityReport:
+    """``realize`` the slow way, for a sequence that passes the necessary
+    conditions: every labeled graph on every arrangement of the projected
+    degree multiset, kept when its finished degree-polynomial multiset
+    equals the target's."""
+    conditions = necessary_conditions(seq)
+    if not conditions.all_pass:
+        raise ValueError(f"{seq} fails condition {conditions.first_failure()}")
+    n = len(seq)
+    witnesses = []
+    seen = set()
+    exhaustive = True
+    for edges in iter_labeled_graphs(conditions.projection):
+        if dp_multiset(n, edges) != seq.multiset():
+            continue
+        form = canonical_form(SimpleGraph.from_edges(n, edges))
+        if form not in seen:
+            seen.add(form)
+            witnesses.append(Witness(form, edges))
+        if not want_all_witnesses:
+            exhaustive = False
+            break
+    if witnesses:
+        realizable = True
+        reason = f"{len(witnesses)} non-isomorphic realization(s) found"
+    elif exhaustive:
+        realizable = False
+        reason = "exhaustive search found no realization"
+    else:
+        realizable = None
+        reason = "search stopped early without a realization"
+    return RealizabilityReport(
+        seq, conditions, True, exhaustive, tuple(witnesses), len(witnesses),
+        realizable, reason,
+    )

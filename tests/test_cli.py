@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from degpoly import PolySequence, realizability
+from degpoly import realizability
 from degpoly.cli import main
 
 PAW_EDGES = "a b\na c\nb c\nc d\n"
@@ -176,6 +176,14 @@ class TestRealize:
         assert code == 0
         assert "exceeds the search bound 4" in out
 
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_bad_env_bound_exits_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DEGPOLY_MAX_N", value)
+        code, out, err = run(capsys, "realize", "x, x")
+        assert code == 1
+        assert out == ""
+        assert "error: usage: DEGPOLY_MAX_N: " in err
+
     def test_structured_bytes_stable(self, capsys):
         args = ("--format", "structured", "realize", "2x^2, 2x, 2x, x, x", "--all")
         _, out1, _ = run(capsys, *args)
@@ -193,10 +201,12 @@ class TestRealize:
             assert out1 == out4
 
     def test_failed_witness_recheck_is_a_data_error(self, capsys, monkeypatch):
-        seq = "2x^2, 2x, 2x, x, x"
-        accept_all = PolySequence.parse(seq).multiset()
+        # Unrealizable; a vertex key that calls every neighbour degree 2 lets
+        # any graph with its projection through the search.
+        seq = "3x^2, 2x^2, 2x^2, 2x^2, x^2"
+        assert run(capsys, "realize", seq)[0] == 2
         monkeypatch.setattr(
-            realizability, "_dp_key_from_adj", lambda degvec, adj: accept_all
+            realizability, "_vertex_key", lambda degvec, nbrs: ((2, len(nbrs)),)
         )
         code, _, err = run(capsys, "realize", seq)
         assert code == 1

@@ -7,12 +7,15 @@ from collections import Counter
 from contextlib import closing
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from degpoly import (
     DegreePoly,
     PolySequence,
     any_graph_exists,
     basic_facts,
+    canonical_form,
     classify_all,
     count_labeled_graphs,
     degree_polynomial_sequence,
@@ -33,7 +36,7 @@ from degpoly.errors import (
     WitnessVerificationError,
     ZeroEntryError,
 )
-from helpers import all_graphs, degree_multiset, paw_graph
+from helpers import all_graphs, degree_multiset, mask_graph, oracle_realize, paw_graph
 
 P = parse_poly
 
@@ -301,12 +304,93 @@ class TestRealize:
             classify_all(3, workers=-1)
 
     def test_failed_witness_recheck_raises_typed_error(self, monkeypatch):
-        accept_all = S4.multiset()
+        # Unrealizable (a degree-2 neighbour of the degree-3 vertex would see
+        # a degree-3 neighbour), yet it passes the conditions.  A vertex key
+        # that calls every neighbour degree 2 lets graphs with its projection
+        # through the search; the re-check must catch them.
+        seq = PolySequence.parse("3x^2, 2x^2, 2x^2, 2x^2, x^2")
+        assert realize(seq).realizable is False
         monkeypatch.setattr(
-            realizability, "_dp_key_from_adj", lambda degvec, adj: accept_all
+            realizability, "_vertex_key", lambda degvec, nbrs: ((2, len(nbrs)),)
         )
         with pytest.raises(WitnessVerificationError):
-            realize(S4)
+            realize(seq)
+
+
+@pytest.fixture(scope="module")
+def realizable_up_to_six():
+    return [e.sequence for n in range(1, 7) for e in classify_all(n)]
+
+
+def _report_bytes(report):
+    return json.dumps(report.to_dict(), separators=(",", ":"))
+
+
+def _near_misses(sequences):
+    """Sequences one coefficient away from a realizable one: a unit moved
+    between two exponents of one entry, so the projection is unchanged.
+    Only those that pass the necessary conditions and are not themselves
+    in ``sequences`` are kept."""
+    known = {s.multiset() for s in sequences}
+    out = {}
+    for seq in sequences:
+        n = len(seq)
+        for i, p in enumerate(seq.entries):
+            for src, _ in p:
+                for dst in range(1, n):
+                    if dst == src:
+                        continue
+                    moved = p - DegreePoly({src: 1}) + DegreePoly({dst: 1})
+                    entries = seq.entries[:i] + (moved,) + seq.entries[i + 1 :]
+                    near = PolySequence.from_polys(entries)
+                    key = near.multiset()
+                    if key not in known and necessary_conditions(near).all_pass:
+                        out[key] = near
+    return [out[key] for key in sorted(out)]
+
+
+class TestOracle:
+    """The pruned search on the sorted assignment against the old search
+    (every assignment, finished graphs filtered by their whole key)."""
+
+    def test_every_realizable_sequence_up_to_order_six(self, realizable_up_to_six):
+        assert len(realizable_up_to_six) == 151
+        for seq in realizable_up_to_six:
+            for want_all in (True, False):
+                got = realize(seq, want_all_witnesses=want_all)
+                assert got.realizable is True
+                want = oracle_realize(seq, want_all)
+                assert _report_bytes(got) == _report_bytes(want), (seq, want_all)
+
+    def test_unrealizable_sequences_passing_the_conditions(self, realizable_up_to_six):
+        near = _near_misses(realizable_up_to_six)
+        # Every order-6 near miss costs the oracle about 0.1 s; a fixed tenth
+        # of them keeps the test short.
+        small = [s for s in near if len(s) < 6]
+        sequences = small + [s for s in near if len(s) == 6][::10] + [S4]
+        assert len(sequences) == 51
+        for seq in sequences:
+            for want_all in (True, False):
+                got = realize(seq, want_all_witnesses=want_all)
+                assert got.realizable is False and got.exhaustive
+                want = oracle_realize(seq, want_all)
+                assert _report_bytes(got) == _report_bytes(want), (seq, want_all)
+
+
+@st.composite
+def graphs_without_isolated_vertices(draw):
+    n = draw(st.integers(2, 7))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    g = mask_graph(n, mask)
+    assume(not g.isolated_vertices())
+    return g
+
+
+@given(graphs_without_isolated_vertices())
+def test_realize_round_trip(g):
+    rep = realize(degree_polynomial_sequence(g))
+    assert rep.realizable is True
+    assert canonical_form(g) in {w.canonical for w in rep.witnesses}
 
 
 class TestClassifyAll:
@@ -347,6 +431,11 @@ class TestClassifyAll:
     def test_bound(self):
         with pytest.raises(TooLargeError):
             classify_all(9)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, n):
+        with pytest.raises(BadParamsError):
+            classify_all(n)
 
     def test_workers_match(self):
         a = [e.to_dict() for e in classify_all(4, workers=1)]
