@@ -15,6 +15,7 @@ single JSON object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -73,7 +74,10 @@ def _default_max_n(parser: argparse.ArgumentParser) -> int:
         parser.error(f"{ENV_MAX_N}: {exc}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change
+    it, and ``main`` reads ``DEGPOLY_MAX_N`` on every call."""
     parser = _Parser(prog="degpoly", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format",
@@ -222,14 +226,7 @@ def _cmd_family(args) -> int:
 def _cmd_op(args) -> int:
     op = OpKind(args.kind)
     g = _load_graph(args.graph1)
-    h: Optional[SimpleGraph] = None
-    if op is OpKind.COMPLEMENT:
-        if args.graph2 is not None:
-            raise DegpolyError("complement takes a single graph")
-    else:
-        if args.graph2 is None:
-            raise DegpolyError(f"{op.value} takes two graphs")
-        h = _load_graph(args.graph2)
+    h = None if args.graph2 is None else _load_graph(args.graph2)
 
     check = verify_operation(op, g, h) if args.verify else None
     result = check.result if check else graphs.apply_operation(op, g, h)

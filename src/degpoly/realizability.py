@@ -17,8 +17,9 @@ non-increasing degree assignment.  Within it, it backtracks over each
 vertex's partner choices in ascending order; as soon as a vertex's
 neighbourhood is complete its degree polynomial is fixed, and the branch
 dies unless that polynomial is still owed to the target multiset.  Work can
-be partitioned across processes by vertex 0's partner set; merging
-respects the sequential order, so reports are byte-identical for any
+be partitioned across processes by vertex 0's partner set (``realize``
+passes each one to ``_iter_adj`` as ``first_row``); merging respects the
+sequential order, so reports are byte-identical for any
 worker count.  The labeled enumerators (``iter_labeled_graphs`` and
 friends) count labeled graphs and so still visit every assignment.
 """
@@ -197,7 +198,7 @@ def _iter_adj(
     Vertex u's partners among u+1..n-1 are chosen in ascending combinations;
     branches die as soon as any vertex's remaining degree exceeds the edges
     still available to it.  ``first_row``, one of vertex 0's combinations,
-    replaces all of them; this is how ``_search_tasks`` splits the search.
+    replaces all of them; this is how ``realize`` splits the search.
     ``target`` counts the vertex keys (see ``_vertex_key``) a graph must
     have: once u's row is chosen its neighbourhood is complete, and the
     branch dies unless u's key is still owed, so every yielded graph has
@@ -218,43 +219,35 @@ def _iter_adj(
             return
         k = residual[u]
         if k == 0:
-            yield from step(u)
-            return
-        if u == 0 and first_row is not None:
-            combos: Iterable[tuple[int, ...]] = (first_row,)
+            combos: Iterable[tuple[int, ...]] = ((),)
+        elif u == 0 and first_row is not None:
+            combos = (first_row,)
         else:
             cands = [v for v in range(u + 1, n) if residual[v] > 0]
-            if len(cands) < k:
-                return
             combos = itertools.combinations(cands, k)
         cap = n - u - 2
         row = adj[u]
         for combo in combos:
-            residual[u] = 0
             for v in combo:
                 residual[v] -= 1
                 row.append(v)
                 adj[v].append(u)
-            if all(residual[v] <= cap for v in range(u + 1, n)):
-                yield from step(u)
-            residual[u] = k
+            if k == 0 or all(residual[v] <= cap for v in range(u + 1, n)):
+                # u's row is final here: charge its key if there is a target.
+                if owed is None:
+                    yield from rec(u + 1)
+                else:
+                    key = _vertex_key(degvec, row)
+                    left = owed.get(key, 0)
+                    if left:
+                        owed[key] = left - 1
+                        yield from rec(u + 1)
+                        owed[key] = left
             for v in combo:
                 residual[v] += 1
                 adj[v].pop()
             del row[len(row) - k :]
 
-    def charge(u: int) -> Iterator[list[list[int]]]:
-        """u's neighbourhood is final: go on to u+1 if u's key is owed."""
-        key = _vertex_key(degvec, adj[u])
-        left = owed.get(key, 0)
-        if left:
-            owed[key] = left - 1
-            yield from rec(u + 1)
-            owed[key] = left
-
-    # Without a target, go straight on: one more generator layer per vertex
-    # slows the labeled enumerators by about a sixth.
-    step = charge if owed is not None else lambda u: rec(u + 1)
     yield from rec(0)
 
 
@@ -277,41 +270,42 @@ def _adj_edges(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
 
 
 def iter_labeled_graphs(
-    degrees: Sequence[int], max_n: int = DEFAULT_SEARCH_MAX_N
+    degrees: Sequence[int],
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every labeled simple graph whose degree multiset equals ``degrees``
     (non-increasing), exactly once, as sorted edge tuples."""
     _require_sorted(degrees)
-    if len(degrees) > max_n:
+    if len(degrees) > DEFAULT_SEARCH_MAX_N:
         raise TooLargeError(
-            f"exhaustive enumeration limited to n <= {max_n}, got {len(degrees)}"
+            f"exhaustive enumeration limited to n <= {DEFAULT_SEARCH_MAX_N},"
+            f" got {len(degrees)}"
         )
     for assignment in _distinct_assignments(degrees):
         for adj in _iter_adj(assignment):
             yield _adj_edges(adj)
 
 
-def count_labeled_graphs(
-    degrees: Sequence[int], max_n: int = DEFAULT_SEARCH_MAX_N
-) -> int:
-    return sum(1 for _ in iter_labeled_graphs(degrees, max_n))
+def count_labeled_graphs(degrees: Sequence[int]) -> int:
+    return sum(1 for _ in iter_labeled_graphs(degrees))
 
 
-def any_graph_exists(degrees: Sequence[int], max_n: int = DEFAULT_SEARCH_MAX_N) -> bool:
+def any_graph_exists(degrees: Sequence[int]) -> bool:
     """Brute-force existence: does any labeled graph realize ``degrees``?"""
-    for _ in iter_labeled_graphs(degrees, max_n):
+    for _ in iter_labeled_graphs(degrees):
         return True
     return False
 
 
 def iter_graphs_without_isolated_vertices(
-    n: int, max_n: int = CLASSIFY_MAX_N
+    n: int,
 ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
     """Every labeled simple graph on n vertices with minimum degree >= 1,
     exactly once, as (degree vector, edge tuple) pairs.  This is the
     enumeration backing classification and the soundness sweeps."""
-    if n > max_n:
-        raise TooLargeError(f"enumeration limited to n <= {max_n}, got {n}")
+    if n > CLASSIFY_MAX_N:
+        raise TooLargeError(
+            f"enumeration limited to n <= {CLASSIFY_MAX_N}, got {n}"
+        )
     for d in _graphical_positive_multisets(n):
         for assignment in _distinct_assignments(d):
             for adj in _iter_adj(assignment):
@@ -543,19 +537,6 @@ def _check_workers(workers: int) -> None:
         raise BadParamsError(f"workers must be at least 1, got {workers}")
 
 
-def _search_tasks(d_desc: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Deterministic work units of a search over the non-increasing
-    assignment ``d_desc``: vertex 0's partner sets.  Concatenating the
-    units' outputs in generation order equals the single-process order."""
-    n = len(d_desc)
-    k0 = d_desc[0] if n else 0
-    if k0 == 0:
-        yield ()
-        return
-    cands = [v for v in range(1, n) if d_desc[v] > 0]
-    yield from itertools.combinations(cands, k0)
-
-
 def _realize_task(payload) -> list[tuple[CanonicalForm, tuple[tuple[int, int], ...]]]:
     """The matches of one unit, one per isomorphism class in order of first
     appearance, as (canonical form, edges); only the first if not
@@ -624,10 +605,13 @@ def realize(
             False, False, (), None, f"order {n} exceeds the search bound {max_n}"
         )
 
+    # Work units are vertex 0's partner sets, in the order the search visits
+    # them; every projected degree is at least 1, so any vertex can be one.
     target = Counter(map(tuple, seq.entries))
     d_desc = conditions.projection
     payloads = (
-        (d_desc, row, target, want_all_witnesses) for row in _search_tasks(d_desc)
+        (d_desc, row, target, want_all_witnesses)
+        for row in itertools.combinations(range(1, n), d_desc[0])
     )
 
     witnesses: list[Witness] = []
@@ -690,17 +674,17 @@ def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[tuple]]:
     return groups
 
 
-def classify_all(
-    n: int, *, workers: int = 1, max_n: int = CLASSIFY_MAX_N
-) -> tuple[ClassifiedSequence, ...]:
+def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
     """Group every isomorphism class of graphs on n vertices (no isolated
     vertices) by degree-polynomial sequence; returns each distinct sequence
     with its number of classes, sorted by sequence encoding."""
     _check_workers(workers)
     if n < 1:
         raise BadParamsError(f"classification needs n >= 1, got {n}")
-    if n > max_n:
-        raise TooLargeError(f"classification limited to n <= {max_n}, got {n}")
+    if n > CLASSIFY_MAX_N:
+        raise TooLargeError(
+            f"classification limited to n <= {CLASSIFY_MAX_N}, got {n}"
+        )
     multisets = _graphical_positive_multisets(n)
     groups: dict[tuple, set[tuple]] = {}
     for partial in _ordered_map(_classify_task, multisets, workers):

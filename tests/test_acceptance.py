@@ -31,7 +31,6 @@ from degpoly import (
     family,
     graph_degree_polynomial,
     havel_hakimi,
-    iter_graphs_without_isolated_vertices,
     necessary_conditions,
     parse_poly,
     path_graph,
@@ -39,7 +38,8 @@ from degpoly import (
     regularity_from_sequence,
     verify_operation,
 )
-from helpers import degree_multiset, paw_graph, mask_graph
+from degpoly.realizability import _adj_edges, _graphical_positive_multisets, _iter_adj
+from helpers import degree_multiset, dp_multiset, paw_graph, mask_graph
 
 P = parse_poly
 
@@ -207,7 +207,11 @@ def test_criterion_9_oracle_agreement():
 
 @pytest.fixture(scope="module")
 def isolated_free_sweep():
-    """One pass over every labeled graph without isolated vertices, n <= 7.
+    """One pass over the graphs without isolated vertices, n <= 7, on the
+    non-increasing assignment of each degree multiset.  Every graph can be
+    relabeled so its degrees are non-increasing, so every degree-polynomial
+    sequence of order at most 7 shows up; the count of 951 is asserted so
+    that a lost sequence fails the fixture.
 
     Checks that depend only on the degree-polynomial sequence are performed
     once per distinct sequence (two graphs with equal sequences share their
@@ -216,18 +220,14 @@ def isolated_free_sweep():
     t0 = time.perf_counter()
     records = {}
     for n in range(1, 8):
-        for degs, edges in iter_graphs_without_isolated_vertices(n):
-            counts = [dict() for _ in range(n)]
-            for u, v in edges:
-                du, dv = degs[u], degs[v]
-                counts[u][dv] = counts[u].get(dv, 0) + 1
-                counts[v][du] = counts[v].get(du, 0) + 1
-            key = tuple(
-                sorted(tuple(sorted(c.items(), reverse=True)) for c in counts)
-            )
-            if key in records:
-                continue
-            records[key] = (n, len(edges), SimpleGraph.from_edges(n, edges), degs)
+        for degs in _graphical_positive_multisets(n):
+            for adj in _iter_adj(degs):
+                edges = _adj_edges(adj)
+                key = dp_multiset(n, edges)
+                if key not in records:
+                    graph = SimpleGraph.from_edges(n, edges)
+                    records[key] = (n, len(edges), graph, degs)
+    assert len(records) == 951
     return time.perf_counter() - t0, records
 
 

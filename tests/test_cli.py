@@ -100,10 +100,12 @@ class TestOp:
     def test_complement_rejects_second_operand(self, capsys):
         code, _, err = run(capsys, "op", "complement", "a b", "c d")
         assert code == 1
+        assert err == "error: BadParamsError: complement takes a single graph\n"
 
     def test_binary_requires_second_operand(self, capsys):
         code, _, err = run(capsys, "op", "tensor", "a b")
         assert code == 1
+        assert err == "error: BadParamsError: tensor takes two graphs\n"
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "op", "cartesian", "a b", "c d", "--dot")

@@ -422,6 +422,14 @@ class TestClassifyAll:
             got = classify_all(n)
             assert sum(e.isomorphism_classes for e in got) == len(expected)
 
+    def test_class_totals_match_oeis_a002494(self):
+        # A002494: graphs on n unlabeled vertices with no isolated vertex.
+        # Covers n = 6 and 7, beyond the reach of the bitmask oracle.
+        totals = [
+            sum(e.isomorphism_classes for e in classify_all(n)) for n in range(1, 8)
+        ]
+        assert totals == [0, 1, 2, 7, 23, 122, 888]
+
     def test_shared_sequence_has_two_classes_at_order_six(self):
         out = classify_all(6)
         matches = [e for e in out if e.sequence == SEQ_TWO_REALIZATIONS]
