@@ -162,10 +162,9 @@ def _load_sequence(arg: str) -> PolySequence:
     text = _read_input(arg).strip()
     if text.startswith("["):
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            return PolySequence.from_pairs(json.loads(text))
+        except (TypeError, ValueError) as exc:
             raise DegpolyError(f"bad structured sequence: {exc}") from None
-        return PolySequence.from_pairs(data)
     return PolySequence.parse(text)
 
 

@@ -40,7 +40,7 @@ class DegreePoly:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exponent, coefficient in items:
-                if not isinstance(exponent, int) or not isinstance(coefficient, int):
+                if type(exponent) is not int or type(coefficient) is not int:
                     raise TypeError("exponents and coefficients must be exact integers")
                 if exponent < 0:
                     raise ValueError(f"negative exponent {exponent}")
@@ -70,7 +70,7 @@ class DegreePoly:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "DegreePoly":
         """Decode the structured ``[[exponent, coefficient], ...]`` form."""
-        return cls((int(e), int(c)) for e, c in pairs)
+        return cls((e, c) for e, c in pairs)
 
     @classmethod
     def parse(cls, text: str) -> "DegreePoly":

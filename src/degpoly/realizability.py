@@ -18,9 +18,11 @@ vertex's partner choices in ascending order; as soon as a vertex's
 neighbourhood is complete its degree polynomial is fixed, and the branch
 dies unless that polynomial is still owed to the target multiset.  Work can
 be partitioned across processes by vertex 0's partner set (``realize``
-passes each one to ``_iter_adj`` as ``first_row``); merging respects the
-sequential order, so reports are byte-identical for any
-worker count.  The labeled enumerators (``iter_labeled_graphs`` and
+passes each one to ``_iter_adj`` as ``first_row``).  A witness is reported
+by its canonical form, and all witnesses come sorted by canonical edges, so
+merging the units in payload order decides only which class a
+first-witness search reports; reports are byte-identical for any worker
+count.  The labeled enumerators (``iter_labeled_graphs`` and
 friends) count labeled graphs and so still visit every assignment.
 """
 
@@ -470,20 +472,20 @@ def necessary_conditions(seq: SeqLike) -> ConditionReport:
 
 @dataclass(frozen=True)
 class Witness:
-    """One isomorphism class realizing the target sequence."""
+    """One isomorphism class realizing the target sequence, reported by
+    its canonical form."""
 
     canonical: CanonicalForm
-    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.canonical.edges
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph.from_edges(self.canonical.n, self.edges)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.canonical.n,
-            "edges": [list(e) for e in self.edges],
-            "canonical_edges": [list(e) for e in self.canonical.edges],
-        }
+        return {"n": self.canonical.n, "edges": [list(e) for e in self.edges]}
 
 
 @dataclass(frozen=True)
@@ -493,13 +495,16 @@ class RealizabilityReport:
     searched: bool
     exhaustive: bool
     witnesses: tuple[Witness, ...]
-    nonisomorphic_count: int
     realizable: Optional[bool]
     reason: str
 
     @property
     def n(self) -> int:
         return len(self.sequence)
+
+    @property
+    def nonisomorphic_count(self) -> int:
+        return len(self.witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -537,20 +542,17 @@ def _check_workers(workers: int) -> None:
         raise BadParamsError(f"workers must be at least 1, got {workers}")
 
 
-def _realize_task(payload) -> list[tuple[CanonicalForm, tuple[tuple[int, int], ...]]]:
-    """The matches of one unit, one per isomorphism class in order of first
-    appearance, as (canonical form, edges); only the first if not
-    ``want_all``."""
+def _realize_task(payload) -> list[CanonicalForm]:
+    """The distinct canonical forms of one unit's matches, in order of
+    first appearance; only the first if not ``want_all``."""
     d_desc, first_row, target, want_all = payload
     n = len(d_desc)
-    found: dict[CanonicalForm, tuple[tuple[int, int], ...]] = {}
+    found: dict[CanonicalForm, None] = {}
     for adj in _iter_adj(d_desc, first_row, target):
-        edges = _adj_edges(adj)
-        form = canonical_form(SimpleGraph.from_edges(n, edges))
-        found.setdefault(form, edges)
+        found[canonical_form(SimpleGraph.from_edges(n, _adj_edges(adj)))] = None
         if not want_all:
             break
-    return list(found.items())
+    return list(found)
 
 
 def realize(
@@ -568,10 +570,11 @@ def realize(
     Otherwise the labeled graphs on the non-increasing projected degree
     assignment whose vertex polynomials are owed by the sequence are
     enumerated, each vertex checked as soon as its neighbourhood is final;
-    they are deduplicated up to isomorphism, and the report states whether
-    the search was exhaustive.  Sequences longer than ``max_n`` are not
-    searched; the report then stays honestly inconclusive instead of
-    sampling.
+    they are deduplicated up to isomorphism and reported by canonical form
+    (all witnesses sorted by canonical edges, or the first one met), and
+    the report states whether the search was exhaustive.  Sequences longer
+    than ``max_n`` are not searched; the report then stays honestly
+    inconclusive instead of sampling.
     """
     _check_workers(workers)
     if not isinstance(seq, PolySequence):
@@ -586,7 +589,6 @@ def realize(
             searched=searched,
             exhaustive=exhaustive,
             witnesses=tuple(witnesses),
-            nonisomorphic_count=len(witnesses),
             realizable=realizable,
             reason=reason,
         )
@@ -614,17 +616,14 @@ def realize(
         for row in itertools.combinations(range(1, n), d_desc[0])
     )
 
-    witnesses: list[Witness] = []
-    seen: set[CanonicalForm] = set()
-    exhaustive = True
     with closing(_ordered_map(_realize_task, payloads, workers)) as results:
-        for form, edges in itertools.chain.from_iterable(results):
-            if form not in seen:
-                seen.add(form)
-                witnesses.append(Witness(form, edges))
-            if not want_all_witnesses:
-                exhaustive = False
-                break
+        forms = itertools.chain.from_iterable(results)
+        if want_all_witnesses:
+            forms = sorted(set(forms), key=lambda f: f.edges)
+        else:
+            forms = list(itertools.islice(forms, 1))
+    exhaustive = want_all_witnesses or not forms
+    witnesses = [Witness(form) for form in forms]
 
     # Witness fidelity: re-derive each witness's sequence through the
     # public path and insist it matches the target.
@@ -636,15 +635,10 @@ def realize(
             )
 
     if witnesses:
-        verdict: Optional[bool] = True
         reason = f"{len(witnesses)} non-isomorphic realization(s) found"
-    elif exhaustive:
-        verdict = False
-        reason = "exhaustive search found no realization"
     else:
-        verdict = None
-        reason = "search stopped early without a realization"
-    return report(True, exhaustive, witnesses, verdict, reason)
+        reason = "exhaustive search found no realization"
+    return report(True, exhaustive, witnesses, bool(witnesses), reason)
 
 
 # -- classification of all sequences at a fixed order ----------------------------------

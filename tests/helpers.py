@@ -82,34 +82,28 @@ def oracle_realize(
     """``realize`` the slow way, for a sequence that passes the necessary
     conditions: every labeled graph on every arrangement of the projected
     degree multiset, kept when its finished degree-polynomial multiset
-    equals the target's."""
+    equals the target's.  Witnesses are canonical forms: every class sorted
+    by canonical edges, or the first class met."""
     conditions = necessary_conditions(seq)
     if not conditions.all_pass:
         raise ValueError(f"{seq} fails condition {conditions.first_failure()}")
     n = len(seq)
-    witnesses = []
-    seen = set()
-    exhaustive = True
+    forms = []
     for edges in iter_labeled_graphs(conditions.projection):
         if dp_multiset(n, edges) != seq.multiset():
             continue
         form = canonical_form(SimpleGraph.from_edges(n, edges))
-        if form not in seen:
-            seen.add(form)
-            witnesses.append(Witness(form, edges))
+        if form not in forms:
+            forms.append(form)
         if not want_all_witnesses:
-            exhaustive = False
             break
-    if witnesses:
-        realizable = True
-        reason = f"{len(witnesses)} non-isomorphic realization(s) found"
-    elif exhaustive:
-        realizable = False
-        reason = "exhaustive search found no realization"
+    if want_all_witnesses:
+        forms.sort(key=lambda f: f.edges)
+    if forms:
+        reason = f"{len(forms)} non-isomorphic realization(s) found"
     else:
-        realizable = None
-        reason = "search stopped early without a realization"
+        reason = "exhaustive search found no realization"
     return RealizabilityReport(
-        seq, conditions, True, exhaustive, tuple(witnesses), len(witnesses),
-        realizable, reason,
+        seq, conditions, True, want_all_witnesses or not forms,
+        tuple(Witness(form) for form in forms), bool(forms), reason,
     )

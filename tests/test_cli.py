@@ -162,10 +162,26 @@ class TestRealize:
         assert "sequence: 2x^2, 2x^2, 2x^2" in out
         assert "1 witnesses (exhaustive)" in out
 
-    def test_bad_structured_sequence(self, capsys):
-        code, _, err = run(capsys, "realize", "[[[2, 2")
+    @pytest.mark.parametrize("command", ["realize", "check"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[[[2, 2", id="truncated"),
+            pytest.param("[1]", id="entry-not-a-list"),
+            pytest.param("[[1]]", id="term-not-a-pair"),
+            pytest.param('[[["a",1]]]', id="string-exponent"),
+            pytest.param("[[[1,-1]]]", id="negative-coefficient"),
+            pytest.param("[[[-1,1]]]", id="negative-exponent"),
+            pytest.param("[[[1,1,1]]]", id="term-of-three"),
+            pytest.param("[[[1.5,1]]]", id="float-exponent"),
+            pytest.param("[[[true,1]]]", id="boolean-exponent"),
+        ],
+    )
+    def test_bad_structured_sequence(self, capsys, command, text):
+        code, _, err = run(capsys, command, text)
         assert code == 1
-        assert "error:" in err
+        assert err.startswith("error: DegpolyError: bad structured sequence:")
+        assert "Traceback" not in err
 
     def test_dot_witnesses(self, capsys):
         code, out, _ = run(capsys, "realize", "x, x", "--all", "--dot")

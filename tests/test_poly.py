@@ -62,6 +62,8 @@ class TestConstruction:
             DegreePoly({-1: 2})
         with pytest.raises(TypeError):
             DegreePoly({2: 1.5})
+        with pytest.raises(TypeError):
+            DegreePoly({True: 1})
 
     def test_equality_is_term_map_equality(self):
         assert P("2x^2+x") == DegreePoly({1: 1, 2: 2})

@@ -7,12 +7,13 @@ from collections import Counter
 from contextlib import closing
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from degpoly import (
     DegreePoly,
     PolySequence,
+    SimpleGraph,
     any_graph_exists,
     basic_facts,
     canonical_form,
@@ -386,11 +387,21 @@ def graphs_without_isolated_vertices(draw):
     return g
 
 
+# x^3+2x^2, x^3+2x^2, 2x^2, x^3+x^2 (four times): two classes, which the
+# search meets in an order that is not sorted by canonical edges.
+@example(
+    SimpleGraph.from_edges(
+        7, [(0, 4), (0, 6), (1, 4), (1, 5), (2, 3), (2, 6), (3, 5), (5, 6)]
+    )
+)
 @given(graphs_without_isolated_vertices())
 def test_realize_round_trip(g):
     rep = realize(degree_polynomial_sequence(g))
     assert rep.realizable is True
     assert canonical_form(g) in {w.canonical for w in rep.witnesses}
+    assert all(w.edges == w.canonical.edges for w in rep.witnesses)
+    edge_lists = [w.edges for w in rep.witnesses]
+    assert all(a < b for a, b in zip(edge_lists, edge_lists[1:]))
 
 
 class TestClassifyAll:
