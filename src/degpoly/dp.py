@@ -139,6 +139,8 @@ def closed_form_sequence(kind: str, *params: int) -> PolySequence:
     of x+x^2, two of x^2 and n-4 copies of 2x^2.
     cycle(n >= 3): n copies of 2x^2.
     complete_bipartite(r >= s >= 1): s copies of r*x^s and r copies of s*x^r.
+    An order above ``graphs.FAMILY_MAX_N`` raises TooLargeError, as the
+    builders do.
     """
     graphs.check_family(kind, *params)
     mono = DegreePoly.monomial

@@ -16,14 +16,19 @@ relabeled so that its degrees are non-increasing, so it visits the single
 non-increasing degree assignment.  Within it, it backtracks over each
 vertex's partner choices in ascending order; as soon as a vertex's
 neighbourhood is complete its degree polynomial is fixed, and the branch
-dies unless that polynomial is still owed to the target multiset.  Work can
-be partitioned across processes by vertex 0's partner set (``realize``
-passes each one to ``_iter_adj`` as ``first_row``).  A witness is reported
-by its canonical form, and all witnesses come sorted by canonical edges, so
-merging the units in payload order decides only which class a
-first-witness search reports; reports are byte-identical for any worker
-count.  The labeled enumerators (``iter_labeled_graphs`` and
-friends) count labeled graphs and so still visit every assignment.
+dies unless that polynomial is still owed to the target multiset.  Partners
+with the same degree and the same neighbours so far are interchangeable,
+so only rows taking a prefix of each such group are tried (twin-prefix
+rows, ``_twin_prefix_rows``): every class and the first graph met stay the
+same, and a regular sequence's search meets each class a few times instead
+of once per labeling.  Work can be partitioned across processes by vertex
+0's twin-prefix rows (``realize`` passes each one to ``_iter_adj`` as
+``first_row``).  A witness is reported by its canonical form, and all
+witnesses come sorted by canonical edges, so merging the units in payload
+order decides only which class a first-witness search reports; reports are
+byte-identical for any worker count.  The labeled enumerators
+(``iter_labeled_graphs`` and friends) count labeled graphs and so still
+visit every assignment and every row.
 """
 
 from __future__ import annotations
@@ -189,10 +194,27 @@ def _distinct_assignments(d_desc: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
+def _twin_prefix_rows(
+    cands: Sequence[int], keys: Sequence, k: int
+) -> Iterable[tuple[int, ...]]:
+    """The k-combinations of ``cands`` that take a prefix of every group of
+    candidates with equal key, in ascending combination order: a member is
+    taken only if the group's previous member is."""
+    prev: dict[int, int] = {}
+    last: dict = {}
+    for v, key in zip(cands, keys):
+        if key in last:
+            prev[v] = last[key]
+        last[key] = v
+    combos = itertools.combinations(cands, k)
+    return (c for c in combos if all(prev[v] in c for v in c if v in prev))
+
+
 def _iter_adj(
     degvec: Sequence[int],
     first_row: Optional[tuple[int, ...]] = None,
     target: Optional[Mapping[tuple, int]] = None,
+    twins: bool = False,
 ) -> Iterator[list[list[int]]]:
     """Backtrack over each vertex's partner choices; yields a live adjacency
     (list of neighbor lists) that the consumer must not keep or mutate.
@@ -205,6 +227,18 @@ def _iter_adj(
     have: once u's row is chosen its neighbourhood is complete, and the
     branch dies unless u's key is still owed, so every yielded graph has
     exactly that multiset of keys.
+
+    ``twins`` keeps one row per set of interchangeable partners: u's
+    candidates are grouped by degree and neighbours so far, and only rows
+    taking a prefix of every group are tried (``_twin_prefix_rows``).  The
+    search then reaches every isomorphism class, not every labeled graph.
+    It is sound because swapping two members of a group is an automorphism
+    of the partial graph that preserves ``degvec`` and so every vertex key;
+    a pruned row is such a swap of a kept row, so it reaches only classes
+    the kept row reaches too.  The first graph yielded is unchanged: the
+    kept row takes the smallest members of each group, so it is
+    lexicographically smaller than every row in its orbit, and the first
+    row with a completion is always kept.
     """
     n = len(degvec)
     if sum(degvec) % 2:
@@ -226,7 +260,11 @@ def _iter_adj(
             combos = (first_row,)
         else:
             cands = [v for v in range(u + 1, n) if residual[v] > 0]
-            combos = itertools.combinations(cands, k)
+            if twins:
+                keys = [(degvec[v], tuple(adj[v])) for v in cands]
+                combos = _twin_prefix_rows(cands, keys, k)
+            else:
+                combos = itertools.combinations(cands, k)
         cap = n - u - 2
         row = adj[u]
         for combo in combos:
@@ -548,7 +586,7 @@ def _realize_task(payload) -> list[CanonicalForm]:
     d_desc, first_row, target, want_all = payload
     n = len(d_desc)
     found: dict[CanonicalForm, None] = {}
-    for adj in _iter_adj(d_desc, first_row, target):
+    for adj in _iter_adj(d_desc, first_row, target, twins=True):
         found[canonical_form(SimpleGraph.from_edges(n, _adj_edges(adj)))] = None
         if not want_all:
             break
@@ -607,13 +645,14 @@ def realize(
             False, False, (), None, f"order {n} exceeds the search bound {max_n}"
         )
 
-    # Work units are vertex 0's partner sets, in the order the search visits
-    # them; every projected degree is at least 1, so any vertex can be one.
+    # Work units are vertex 0's twin-prefix rows, in the order the search
+    # visits them; every projected degree is at least 1, so any vertex can
+    # be a partner, and with no edges yet a partner's key is its degree.
     target = Counter(map(tuple, seq.entries))
     d_desc = conditions.projection
     payloads = (
         (d_desc, row, target, want_all_witnesses)
-        for row in itertools.combinations(range(1, n), d_desc[0])
+        for row in _twin_prefix_rows(range(1, n), d_desc[1:], d_desc[0])
     )
 
     with closing(_ordered_map(_realize_task, payloads, workers)) as results:
@@ -661,7 +700,7 @@ def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[tuple]]:
     grouped by degree-polynomial key (the sorted vertex keys)."""
     n = len(d)
     groups: dict[tuple, set[tuple]] = {}
-    for adj in _iter_adj(d):
+    for adj in _iter_adj(d, twins=True):
         key = tuple(sorted(_vertex_key(d, row) for row in adj))
         masks = [sum(1 << w for w in row) for row in adj]
         groups.setdefault(key, set()).add(canonical_encoding(n, masks))

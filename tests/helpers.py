@@ -13,6 +13,8 @@ from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
 from degpoly.realizability import (
     RealizabilityReport,
     Witness,
+    _twin_prefix_rows,
+    degree_projection,
     iter_labeled_graphs,
     necessary_conditions,
 )
@@ -60,6 +62,13 @@ def paw_graph() -> SimpleGraph:
 
 def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted(g.degrees(), reverse=True))
+
+
+def vertex_zero_units(seq: PolySequence) -> int:
+    """How many work units ``realize`` splits the search of ``seq`` into:
+    vertex 0's twin-prefix rows, grouped by degree."""
+    d = degree_projection(seq)
+    return sum(1 for _ in _twin_prefix_rows(range(1, len(d)), d[1:], d[0]))
 
 
 def dp_multiset(n: int, edges) -> tuple:

@@ -39,7 +39,7 @@ from degpoly import (
     verify_operation,
 )
 from degpoly.realizability import _adj_edges, _graphical_positive_multisets, _iter_adj
-from helpers import degree_multiset, dp_multiset, paw_graph, mask_graph
+from helpers import degree_multiset, dp_multiset, paw_graph, mask_graph, vertex_zero_units
 
 P = parse_poly
 
@@ -264,6 +264,8 @@ def test_criterion_12_worker_determinism():
             PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3"),
             PolySequence.from_polys([P("2x^2")] * 5),
         ]
+        # The pool must have more than one unit to merge.
+        assert max(map(vertex_zero_units, sequences)) >= 2
         for seq, want_all in itertools.product(sequences, (True, False)):
             reports = [
                 realize(seq, want_all_witnesses=want_all, workers=workers).to_dict()

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, output determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,17 @@ class TestFamily:
         code, _, err = run(capsys, "family", "cycle", "2")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["complete", "100000"], ["cycle", "1000000", "--closed-form"]]
+    )
+    def test_order_beyond_bound_exits_one_promptly(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "family", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and not out
+        assert err.startswith("error: TooLargeError: ")
+        assert "Traceback" not in err
 
 
 class TestOp:

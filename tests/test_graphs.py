@@ -13,6 +13,7 @@ from degpoly import (
     apply_operation,
     canonical_form,
     cartesian_product,
+    closed_form_sequence,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -33,6 +34,7 @@ from degpoly.errors import (
     SelfLoopError,
     TooLargeError,
 )
+from degpoly.graphs import FAMILY_MAX_N
 from helpers import brute_min_mask, degree_multiset, paw_graph, mask_graph
 
 
@@ -104,6 +106,19 @@ class TestFamilies:
             complete_graph(0)
         with pytest.raises(BadParamsError):
             complete_bipartite_graph(2, 3)
+
+    def test_order_bound(self):
+        assert cycle_graph(FAMILY_MAX_N).n == FAMILY_MAX_N
+        assert closed_form_sequence("complete", FAMILY_MAX_N)
+        for kind, params in [
+            ("cycle", (FAMILY_MAX_N + 1,)),
+            ("complete", (10**5,)),
+            ("complete_bipartite", (FAMILY_MAX_N - 1, 2)),
+        ]:
+            with pytest.raises(TooLargeError):
+                family(kind, *params)
+            with pytest.raises(TooLargeError):
+                closed_form_sequence(kind, *params)
 
     def test_family_dispatch(self):
         assert family("cycle", 5).edges() == cycle_graph(5).edges()

@@ -30,6 +30,7 @@ from degpoly import (
     realize,
 )
 from degpoly import realizability
+from degpoly.graphs import canonical_encoding
 from degpoly.errors import (
     BadParamsError,
     NotSortedError,
@@ -37,7 +38,14 @@ from degpoly.errors import (
     WitnessVerificationError,
     ZeroEntryError,
 )
-from helpers import all_graphs, degree_multiset, mask_graph, oracle_realize, paw_graph
+from helpers import (
+    all_graphs,
+    degree_multiset,
+    mask_graph,
+    oracle_realize,
+    paw_graph,
+    vertex_zero_units,
+)
 
 P = parse_poly
 
@@ -46,6 +54,12 @@ S2 = PolySequence.parse("2x, x^2, x^2, x, x, x")
 S3 = PolySequence.parse("2x^2, x, x, x, x")
 S4 = PolySequence.parse("2x^2, 2x, 2x, x, x")  # passes (a)(b)(c) yet unrealizable
 SEQ_TWO_REALIZATIONS = PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
+# Order 11, five vertex-0 units; its --all search takes seconds (1,932
+# classes), while its first witness lies in the second unit.
+SEQ_MANY_UNITS = PolySequence.parse(
+    "3x^4+x^3, 3x^4+x^3, 3x^4+x^3, 3x^4+x^3, 2x^4+2x^3, 2x^4+2x^3,"
+    " 2x^4+2x^3, 3x^4, 3x^4, 2x^4+x^3, 2x^4+x^3"
+)
 
 
 class TestProjection:
@@ -172,6 +186,44 @@ class TestEnumeration:
         assert count == brute == 41
 
 
+class TestTwinPrefixRows:
+    def test_prefix_of_every_group_in_combination_order(self):
+        rows = list(realizability._twin_prefix_rows((1, 2, 3, 4), "aaba", 2))
+        assert rows == [(1, 2), (1, 3)]
+        assert list(realizability._twin_prefix_rows((1, 2), "ab", 1)) == [(1,), (2,)]
+
+    def test_same_classes_and_first_leaf_as_full_search(self):
+        # Every degree multiset up to order 6: the twin rule reaches the same
+        # isomorphism classes as the full search, and the same first graph.
+        for n in range(1, 7):
+            for d in realizability._graphical_positive_multisets(n):
+                assert reached(d, twins=True) == reached(d, twins=False), d
+
+    def test_canonical_form_calls_on_a_regular_sequence(self, monkeypatch):
+        calls = []
+        real = realizability.canonical_form
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return real(g, *args)
+
+        monkeypatch.setattr(realizability, "canonical_form", counted)
+        rep = realize(PolySequence.from_polys([P("2x^2")] * 8))
+        assert rep.nonisomorphic_count == 3
+        assert len(calls) == 4
+
+
+def reached(d, twins):
+    """The first graph ``_iter_adj`` yields and the canonical encodings of
+    all it yields."""
+    first, codes = None, set()
+    for adj in realizability._iter_adj(d, twins=twins):
+        if first is None:
+            first = realizability._adj_edges(adj)
+        codes.add(canonical_encoding(len(d), [sum(1 << w for w in row) for row in adj]))
+    return first, codes
+
+
 class TestNecessaryConditions:
     def test_verdict_s1(self):
         rep = necessary_conditions(S1)
@@ -274,11 +326,14 @@ class TestRealize:
             assert json.dumps(one.to_dict()) == json.dumps(four.to_dict())
 
     def test_early_stop_with_pool_is_prompt(self):
-        seq = PolySequence.from_polys([P("2x^2")] * 7)
+        # A regular sequence has a single vertex-0 unit, which leaves the
+        # pool nothing to abandon; this one has several.
+        seq = SEQ_MANY_UNITS
+        assert vertex_zero_units(seq) >= 2
         t0 = time.perf_counter()
-        pooled = realize(seq, want_all_witnesses=False, workers=4)
+        pooled = realize(seq, max_n=11, want_all_witnesses=False, workers=4)
         assert time.perf_counter() - t0 < 2.0
-        serial = realize(seq, want_all_witnesses=False, workers=1)
+        serial = realize(seq, max_n=11, want_all_witnesses=False, workers=1)
         assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
         assert pooled.nonisomorphic_count == 1 and not pooled.exhaustive
 
@@ -435,11 +490,11 @@ class TestClassifyAll:
 
     def test_class_totals_match_oeis_a002494(self):
         # A002494: graphs on n unlabeled vertices with no isolated vertex.
-        # Covers n = 6 and 7, beyond the reach of the bitmask oracle.
+        # Covers n = 6 to 8, beyond the reach of the bitmask oracle.
         totals = [
-            sum(e.isomorphism_classes for e in classify_all(n)) for n in range(1, 8)
+            sum(e.isomorphism_classes for e in classify_all(n)) for n in range(1, 9)
         ]
-        assert totals == [0, 1, 2, 7, 23, 122, 888]
+        assert totals == [0, 1, 2, 7, 23, 122, 888, 11302]
 
     def test_shared_sequence_has_two_classes_at_order_six(self):
         out = classify_all(6)
