@@ -397,7 +397,7 @@ def dp_report(g: SimpleGraph) -> DpReport:
     sequence = None
     regular_r = None
     if not g.isolated_vertices():
-        sequence = degree_polynomial_sequence(g)
+        sequence = PolySequence.from_polys(vertex_polys)
         regular_r = regularity_from_sequence(sequence)
     return DpReport(
         graph=g,

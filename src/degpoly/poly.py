@@ -240,22 +240,54 @@ def sort_polys_desc(polys: Iterable[DegreePoly]) -> list[DegreePoly]:
     """Arrange nonzero polynomials so every adjacent pair is non-increasing.
 
     The pairwise comparison is not transitive in general (see the tests for
-    an explicit 3-cycle), so a plain sort is not well defined.  Instead the
-    polynomials are first arranged by the transitive :func:`presentation_key`
-    and then placed one by one before the first element they are >= to; the
-    result is a deterministic function of the input multiset in which every
-    adjacent pair satisfies ``compare_polys(seq[i], seq[i+1]) >= 0``.
+    an explicit 3-cycle), so a plain sort is not well defined.  The rule:
+    arrange the polynomials by the transitive :func:`presentation_key`,
+    descending, then place them one by one before the first element they
+    are >= to (at the end if there is none).  The result is a deterministic
+    function of the input multiset in which every adjacent pair satisfies
+    ``compare_polys(seq[i], seq[i+1]) >= 0``.  A zero entry raises
+    :class:`ZeroOperandError`.
+
+    Two facts let the rule run without scanning the whole list:
+
+    * Coefficient-sum groups never interleave.  The key starts with the
+      coefficient sum, so each new polynomial has a sum no larger than any
+      already placed, and it compares LESS to every placed one with a larger
+      sum; it therefore lands inside the trailing run of its own sum.  The
+      rule is the same rule applied to each sum group alone, the groups
+      concatenated by descending sum.
+    * Equal entries form one contiguous run.  The key determines the
+      polynomial, so copies arrive together; a second copy passes what the
+      first passed and stops at it (EQUAL counts as >=), and later entries
+      compare every copy alike, so they never split the run.  Each distinct
+      value is placed once and then repeated.
+
+    Cost: O(n + k log k + sum of k_s^2) comparisons and moves for n entries,
+    k of them distinct and k_s of those with coefficient sum s; only many
+    distinct entries of one sum are quadratic.
     """
-    pending = sorted(polys, key=presentation_key, reverse=True)
+    counts: dict[DegreePoly, int] = {}
+    for p in polys:
+        counts[p] = counts.get(p, 0) + 1
     out: list[DegreePoly] = []
-    for p in pending:
-        for i, q in enumerate(out):
+    group: list[DegreePoly] = []
+    group_sum = None
+    for (total, _), p in sorted(
+        ((presentation_key(p), p) for p in counts), reverse=True
+    ):
+        if total != group_sum:
+            if not total:
+                raise ZeroOperandError("cannot present the zero polynomial")
+            out.extend(group)
+            group, group_sum = [], total
+        for i, q in enumerate(group):
             if compare_polys(p, q) >= 0:
-                out.insert(i, p)
+                group.insert(i, p)
                 break
         else:
-            out.append(p)
-    return out
+            group.append(p)
+    out.extend(group)
+    return [p for p in out for _ in range(counts[p])]
 
 
 # -- transforms ----------------------------------------------------------------

@@ -10,6 +10,7 @@ import itertools
 from collections import Counter
 
 from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
+from degpoly.poly import compare_polys, presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
     Witness,
@@ -83,6 +84,22 @@ def dp_multiset(n: int, edges) -> tuple:
         counts[u][degree[v]] += 1
         counts[v][degree[u]] += 1
     return tuple(sorted(tuple(sorted(c.items(), reverse=True)) for c in counts))
+
+
+def oracle_sort_polys_desc(polys) -> list[DegreePoly]:
+    """The presentation rule straight from its definition: arrange by
+    ``presentation_key`` descending, then insert each polynomial before the
+    first element it is >= to, scanning the whole list every time."""
+    pending = sorted(polys, key=presentation_key, reverse=True)
+    out: list[DegreePoly] = []
+    for p in pending:
+        for i, q in enumerate(out):
+            if compare_polys(p, q) >= 0:
+                out.insert(i, p)
+                break
+        else:
+            out.append(p)
+    return out
 
 
 def oracle_realize(

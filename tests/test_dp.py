@@ -1,6 +1,7 @@
 """Degree polynomials, sequences, family closed forms, operation formulas."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,14 @@ class TestSequence:
     def test_from_pairs(self):
         seq = PolySequence.from_pairs([[[2, 2], [1, 1]], [[3, 1]]])
         assert str(seq) == "2x^2+x, x^3"
+
+    def test_many_equal_entries_within_a_second(self):
+        # Presentation used to be quadratic in the entries: 3.4 s here.
+        t0 = time.perf_counter()
+        seq = PolySequence.from_polys([P("2x^2")] * 100_000)
+        elapsed = time.perf_counter() - t0
+        assert len(seq) == 100_000
+        assert elapsed < 1.0, f"{elapsed:.3f}s"
 
     def test_multiset_ignores_presentation(self):
         a = PolySequence.from_polys([P("x"), P("2x")])
@@ -304,6 +313,16 @@ class TestDpReport:
         assert rep.regular_r == 2
         assert rep.sums_match_degrees
         assert rep.to_dict()["sequence"] is not None
+
+    def test_sequence_equals_degree_polynomial_sequence(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            g = mask_graph(7, rng.getrandbits(21))
+            rep = dp_report(g)
+            if g.isolated_vertices():
+                assert rep.sequence is None
+            else:
+                assert rep.sequence.entries == degree_polynomial_sequence(g).entries
 
     def test_isolated_vertices_drop_sequence(self):
         rep = dp_report(empty_graph(2))

@@ -27,6 +27,9 @@ CYCLE_7 = ", ".join(["2x^2"] * 7)
 P3 = "a b\nb c\n"
 C4 = "p q\nq r\nr s\ns p\n"
 PAW = "a b\na c\nb c\nc d\n"
+# Three coefficient-sum groups, a duplicate and the intransitive 3-cycle of
+# test_poly; its presentation is not plain presentation-key order.
+CHECK_CYCLE = "x^3+2x^2+x, 2x^4+2x, 3x^4+x^2, 2x^4+2x, x^2, 2x^3, x^3+2x^2+x"
 
 
 def _invocations() -> dict[str, list[str]]:
@@ -39,6 +42,7 @@ def _invocations() -> dict[str, list[str]]:
                     argv.append("--all")
                 out[f"realize-{name}-{mode}-w{workers}"] = argv
     out["check-s1"] = ["check", "2x, x^2, x, x, x"]
+    out["check-cycle"] = ["check", CHECK_CYCLE]
     out["classify-5"] = ["classify", "--n", "5"]
     out["classify-5-w2"] = ["classify", "--n", "5", "--workers", "2"]
     out["family-built"] = ["family", "complete_bipartite", "3", "2"]

@@ -28,6 +28,7 @@ from degpoly.errors import (
     ZeroOperandError,
 )
 from degpoly.poly import presentation_key
+from helpers import oracle_sort_polys_desc
 
 P = parse_poly
 
@@ -190,6 +191,32 @@ class TestSortDesc:
             shuffled = sample[:]
             rng.shuffle(shuffled)
             assert sort_polys_desc(shuffled) == base
+
+    def test_equals_oracle_on_random_multisets_with_repeats(self):
+        rng = random.Random(5)
+        population = bounded_set()
+        multi_group = 0
+        for _ in range(2_000):
+            pool = rng.sample(population, rng.randint(1, 6))
+            sample = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+            assert sort_polys_desc(sample) == oracle_sort_polys_desc(sample)
+            multi_group += len({coeff_sum(p) for p in sample}) >= 3
+        assert multi_group > 500
+
+    def test_equals_oracle_on_every_ordering_of_doubled_cycle(self):
+        cycle = [P("3x^4+x^2"), P("2x^4+2x"), P("x^3+2x^2+x")] * 2
+        want = oracle_sort_polys_desc(cycle)
+        for order in itertools.permutations(cycle):
+            assert sort_polys_desc(order) == want
+
+    @given(st.lists(nonzero_polys, min_size=1, max_size=12))
+    def test_equals_oracle(self, sample):
+        assert sort_polys_desc(sample) == oracle_sort_polys_desc(sample)
+
+    def test_rejects_zero_entries(self):
+        for sample in ([P("x"), DegreePoly.zero()], [DegreePoly.zero()]):
+            with pytest.raises(ZeroOperandError):
+                sort_polys_desc(sample)
 
 
 class TestArithmetic:
