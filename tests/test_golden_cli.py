@@ -1,11 +1,13 @@
-"""Golden corpus: exit code and stdout of ``--format structured`` CLI runs.
+"""Golden corpus: exit code and stdout of CLI runs in both output formats.
 
 Each invocation below is replayed through ``degpoly.cli.main`` and its
 output compared byte for byte with ``golden_cli.json``.  The corpus guards
 refactors that must not change what the CLI prints, including the
-``--workers`` runs, which must match their serial twins.
+``--workers`` runs, which must match their serial twins.  Most cases run
+under ``--format structured``; the ``text-`` cases run the default text
+format of every subcommand, ``op`` with and without ``--dot``.
 
-To rewrite the corpus after an intended output change, run
+To rewrite the corpus (both formats) after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and name the change in
 CHANGES.md.
 """
@@ -51,7 +53,31 @@ def _invocations() -> dict[str, list[str]]:
         out[f"op-{kind}"] = ["op", kind, P3, C4, "--verify"]
     out["op-complement"] = ["op", "complement", PAW, "--verify"]
     out["dp"] = ["dp", PAW]
-    return {name: ["--format", "structured", *argv] for name, argv in out.items()}
+    cases = {name: ["--format", "structured", *argv] for name, argv in out.items()}
+    cases.update(_text_invocations())
+    return cases
+
+
+def _text_invocations() -> dict[str, list[str]]:
+    out = {
+        "dp": ["dp", PAW],
+        "dp-isolated": ["dp", "a b\nc\n"],
+        "dp-regular": ["dp", C4],
+        "family-built": ["family", "complete_bipartite", "3", "2"],
+        "family-closed": ["family", "cycle", "5", "--closed-form"],
+        "check-s1": ["check", "2x, x^2, x, x, x"],
+        "check-cycle": ["check", CHECK_CYCLE],
+        "realize-s4-all": ["realize", S4, "--all"],
+        "realize-s4-dot": ["realize", S4, "--dot"],
+        "classify-4": ["classify", "--n", "4"],
+    }
+    for kind in ("join", "cartesian", "tensor", "lexicographic"):
+        out[f"op-{kind}"] = ["op", kind, P3, C4, "--verify"]
+        out[f"op-{kind}-dot"] = ["op", kind, P3, C4, "--verify", "--dot"]
+    out["op-complement"] = ["op", "complement", PAW, "--verify"]
+    out["op-complement-dot"] = ["op", "complement", PAW, "--verify", "--dot"]
+    out["op-join-unverified"] = ["op", "join", P3, C4]
+    return {f"text-{name}": argv for name, argv in out.items()}
 
 
 INVOCATIONS = _invocations()
