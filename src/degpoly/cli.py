@@ -28,7 +28,7 @@ from . import realizability as realize_mod
 from .dp import PolySequence, dp_report, verify_operation
 from .errors import DegpolyError
 from .graphs import OpKind, SimpleGraph, emit_dot, from_edge_list
-from .poly import format_poly
+from .poly import DegreePoly, format_poly
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -158,67 +158,72 @@ def _load_graph(arg: str) -> SimpleGraph:
     return result.graph
 
 
-def _load_sequence(arg: str) -> PolySequence:
+def _load_entries(arg: str) -> list[DegreePoly]:
+    """The entries of a text or ``[[...]]`` sequence in input order."""
     text = _read_input(arg).strip()
     if text.startswith("["):
         try:
-            return PolySequence.from_pairs(json.loads(text))
+            return [DegreePoly.from_pairs(entry) for entry in json.loads(text)]
         except (TypeError, ValueError) as exc:
             raise DegpolyError(f"bad structured sequence: {exc}") from None
-    return PolySequence.parse(text)
+    return dp_mod.parse_entries(text)
 
 
-def _emit(obj: dict, lines: list[str], structured: bool) -> None:
-    if structured:
-        print(json.dumps(obj, separators=(",", ":")))
+def _load_sequence(arg: str) -> PolySequence:
+    return PolySequence.from_polys(_load_entries(arg))
+
+
+def _emit(out: dict | list[str]) -> None:
+    """Print a structured object as one JSON line, or text lines as they are."""
+    if isinstance(out, dict):
+        print(json.dumps(out, separators=(",", ":")))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write("".join(line + "\n" for line in out))
 
 
 def _cmd_dp(args) -> int:
     g = _load_graph(args.graph)
     report = dp_report(g)
-    lines = []
-    for v in range(g.n):
-        lines.append(
-            f"vertex {g.labels[v]}: degree {g.degree(v)}, "
-            f"dp = {format_poly(report.vertex_polys[v])}"
-        )
+    if args.format == "structured":
+        _emit({"command": "dp", **report.to_dict()})
+        return EXIT_OK
+    shown = {p: format_poly(p) for p in set(report.vertex_polys)}
+    lines = [
+        f"vertex {label}: degree {len(row)}, dp = {shown[p]}"
+        for label, row, p in zip(g.labels, g.adj, report.vertex_polys)
+    ]
     lines.append(f"dp(G) = {format_poly(report.graph_poly)}")
     if report.sequence is not None:
-        lines.append(f"sequence: {report.sequence}")
+        lines.append("sequence: " + ", ".join(shown[p] for p in report.sequence))
         if report.regular_r is not None:
             lines.append(f"regular: r = {report.regular_r}")
     else:
         isolated = ", ".join(g.labels[v] for v in g.isolated_vertices())
         lines.append(f"sequence: unavailable (isolated vertices: {isolated})")
-    _emit({"command": "dp", **report.to_dict()}, lines, args.format == "structured")
+    _emit(lines)
     return EXIT_OK
 
 
 def _cmd_family(args) -> int:
     if args.closed_form:
+        g = None
         seq = dp_mod.closed_form_sequence(args.kind, *args.params)
-        graph_dict = None
-        lines = [f"sequence: {seq}"]
     else:
         g = graphs.family(args.kind, *args.params)
         seq = dp_mod.degree_polynomial_sequence(g)
-        graph_dict = g.to_dict()
-        lines = [
-            f"graph: {g.n} vertices, {g.edge_count} edges",
-            f"sequence: {seq}",
-        ]
-    obj = {
-        "command": "family",
-        "kind": args.kind,
-        "params": args.params,
-        "closed_form": args.closed_form,
-        "graph": graph_dict,
-        "sequence": seq.to_pairs(),
-    }
-    _emit(obj, lines, args.format == "structured")
+    if args.format == "structured":
+        _emit({
+            "command": "family",
+            "kind": args.kind,
+            "params": args.params,
+            "closed_form": args.closed_form,
+            "graph": None if g is None else g.to_dict(),
+            "sequence": seq.to_pairs(),
+        })
+    elif g is None:
+        _emit([f"sequence: {seq}"])
+    else:
+        _emit([f"graph: {g.n} vertices, {g.edge_count} edges", f"sequence: {seq}"])
     return EXIT_OK
 
 
@@ -230,27 +235,23 @@ def _cmd_op(args) -> int:
     check = verify_operation(op, g, h) if args.verify else None
     result = check.result if check else graphs.apply_operation(op, g, h)
 
-    lines = [f"result: {result.n} vertices, {result.edge_count} edges"]
-    if args.dot:
-        lines.append(emit_dot(result).rstrip("\n"))
+    if args.format == "structured":
+        obj = {"command": "op", "kind": op.value, "result": result.to_dict()}
+        if check is not None:
+            obj["verify"] = check.to_dict()
+        _emit(obj)
     else:
-        lines.extend(
-            f"{result.labels[u]} {result.labels[v]}" for u, v in result.edges()
-        )
-    obj = {
-        "command": "op",
-        "kind": op.value,
-        "result": result.to_dict(),
-    }
-    exit_code = EXIT_OK
-    if check is not None:
-        matched = sum(1 for c in check.checks if c.match)
-        lines.append(f"{matched}/{check.vertices_checked} vertices match formula")
-        obj["verify"] = check.to_dict()
-        if not check.ok:
-            exit_code = EXIT_NEGATIVE
-    _emit(obj, lines, args.format == "structured")
-    return exit_code
+        lines = [f"result: {result.n} vertices, {result.edge_count} edges"]
+        if args.dot:
+            lines.append(emit_dot(result).rstrip("\n"))
+        else:
+            labels = result.labels
+            lines.extend(f"{labels[u]} {labels[v]}" for u, v in result.edges())
+        if check is not None:
+            matched = sum(1 for c in check.checks if c.match)
+            lines.append(f"{matched}/{check.vertices_checked} vertices match formula")
+        _emit(lines)
+    return EXIT_NEGATIVE if check is not None and not check.ok else EXIT_OK
 
 
 def _condition_lines(report) -> list[str]:
@@ -275,14 +276,18 @@ def _condition_lines(report) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    seq = _load_sequence(args.sequence)
-    report = realize_mod.necessary_conditions(seq)
-    lines = [f"sequence: {seq}"]
-    lines.extend(_condition_lines(report))
-    lines.append("verdict: " + ("conditions pass" if report.all_pass
-                                else f"not realizable (condition {report.first_failure()})"))
-    obj = {"command": "check", "sequence": seq.to_pairs(), **report.to_dict()}
-    _emit(obj, lines, args.format == "structured")
+    entries = _load_entries(args.sequence)
+    seq = PolySequence.from_polys(entries)
+    # The raw entries, so that the report says whether they came presented.
+    report = realize_mod.necessary_conditions(entries)
+    if args.format == "structured":
+        _emit({"command": "check", "sequence": seq.to_pairs(), **report.to_dict()})
+    else:
+        lines = [f"sequence: {seq}"]
+        lines.extend(_condition_lines(report))
+        lines.append("verdict: " + ("conditions pass" if report.all_pass
+                                    else f"not realizable (condition {report.first_failure()})"))
+        _emit(lines)
     return EXIT_OK if report.all_pass else EXIT_NEGATIVE
 
 
@@ -294,20 +299,22 @@ def _cmd_realize(args) -> int:
         want_all_witnesses=args.all,
         workers=args.workers,
     )
-    lines = [f"sequence: {seq}"]
-    lines.extend(_condition_lines(report.conditions))
-    if report.searched:
-        scope = "exhaustive" if report.exhaustive else "stopped early"
-        lines.append(f"{report.nonisomorphic_count} witnesses ({scope})")
-        for i, w in enumerate(report.witnesses):
-            if args.dot:
-                lines.append(emit_dot(w.graph()).rstrip("\n"))
-            else:
-                edges = " ".join(f"{u}-{v}" for u, v in w.edges)
-                lines.append(f"witness {i + 1}: {edges}")
-    lines.append(f"verdict: {report.reason}")
-    obj = {"command": "realize", **report.to_dict()}
-    _emit(obj, lines, args.format == "structured")
+    if args.format == "structured":
+        _emit({"command": "realize", **report.to_dict()})
+    else:
+        lines = [f"sequence: {seq}"]
+        lines.extend(_condition_lines(report.conditions))
+        if report.searched:
+            scope = "exhaustive" if report.exhaustive else "stopped early"
+            lines.append(f"{report.nonisomorphic_count} witnesses ({scope})")
+            for i, w in enumerate(report.witnesses):
+                if args.dot:
+                    lines.append(emit_dot(w.graph()).rstrip("\n"))
+                else:
+                    edges = " ".join(f"{u}-{v}" for u, v in w.edges)
+                    lines.append(f"witness {i + 1}: {edges}")
+        lines.append(f"verdict: {report.reason}")
+        _emit(lines)
     if report.realizable is False:
         return EXIT_NEGATIVE
     return EXIT_OK
@@ -315,15 +322,17 @@ def _cmd_realize(args) -> int:
 
 def _cmd_classify(args) -> int:
     classified = realize_mod.classify_all(args.n, workers=args.workers)
-    lines = [f"{len(classified)} distinct sequences on {args.n} vertices"]
-    for entry in classified:
-        lines.append(f"{entry.isomorphism_classes} class(es): {entry.sequence}")
-    obj = {
-        "command": "classify",
-        "n": args.n,
-        "sequences": [entry.to_dict() for entry in classified],
-    }
-    _emit(obj, lines, args.format == "structured")
+    if args.format == "structured":
+        _emit({
+            "command": "classify",
+            "n": args.n,
+            "sequences": [entry.to_dict() for entry in classified],
+        })
+    else:
+        lines = [f"{len(classified)} distinct sequences on {args.n} vertices"]
+        for entry in classified:
+            lines.append(f"{entry.isomorphism_classes} class(es): {entry.sequence}")
+        _emit(lines)
     return EXIT_OK
 
 

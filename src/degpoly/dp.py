@@ -47,6 +47,20 @@ def degree_polynomial(g: SimpleGraph, v) -> DegreePoly:
     return DegreePoly(counts)
 
 
+def vertex_polynomials(g: SimpleGraph) -> tuple[DegreePoly, ...]:
+    """Every vertex's degree polynomial, in index order: the same values as
+    ``degree_polynomial(g, v)`` for each v, with the degrees read once."""
+    degrees = g.degrees()
+    polys = []
+    for row in g.adj:
+        counts: dict[int, int] = {}
+        for w in row:
+            d = degrees[w]
+            counts[d] = counts.get(d, 0) + 1
+        polys.append(DegreePoly(counts))
+    return tuple(polys)
+
+
 def graph_degree_polynomial(g: SimpleGraph) -> DegreePoly:
     """Degree polynomial of a graph: coefficient of x^i counts vertices of
     degree i (isolated vertices land on the constant term)."""
@@ -83,22 +97,7 @@ class PolySequence:
     @classmethod
     def parse(cls, text: str) -> "PolySequence":
         """Parse entries separated by newlines or commas; ``#`` comments."""
-        polys = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0]
-            for part in line.split(","):
-                if not part.strip():
-                    continue
-                try:
-                    polys.append(parse_poly(part))
-                except PolyParseError as exc:
-                    raise type(exc)(
-                        f"line {line_no}: {exc.args[0].rsplit(' (at position', 1)[0]}",
-                        exc.position,
-                    ) from None
-        if not polys:
-            raise ZeroEntryError("no polynomials in sequence input")
-        return cls.from_polys(polys)
+        return cls.from_polys(parse_entries(text))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,6 +117,27 @@ class PolySequence:
         return [p.to_pairs() for p in self.entries]
 
 
+def parse_entries(text: str) -> list[DegreePoly]:
+    """The entries of a text sequence in input order, unsorted: separated
+    by newlines or commas, ``#`` starting a comment."""
+    polys = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        for part in line.split(","):
+            if not part.strip():
+                continue
+            try:
+                polys.append(parse_poly(part))
+            except PolyParseError as exc:
+                raise type(exc)(
+                    f"line {line_no}: {exc.args[0].rsplit(' (at position', 1)[0]}",
+                    exc.position,
+                ) from None
+    if not polys:
+        raise ZeroEntryError("no polynomials in sequence input")
+    return polys
+
+
 def degree_polynomial_sequence(g: SimpleGraph) -> PolySequence:
     """All vertex degree polynomials, presented non-increasingly.
 
@@ -127,7 +147,7 @@ def degree_polynomial_sequence(g: SimpleGraph) -> PolySequence:
     isolated = g.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(g.labels[v] for v in isolated)
-    return PolySequence.from_polys(degree_polynomial(g, v) for v in range(g.n))
+    return PolySequence.from_polys(vertex_polynomials(g))
 
 
 def closed_form_sequence(kind: str, *params: int) -> PolySequence:
@@ -307,18 +327,16 @@ def verify_operation(
     factor data only.  The two must agree vertex by vertex."""
     op = OpKind(op)
     result = graphs.apply_operation(op, g, h)
-    direct = [degree_polynomial(result, v) for v in range(result.n)]
+    direct = vertex_polynomials(result)
+    g_polys = vertex_polynomials(g)
     expected: list[DegreePoly] = []
     if op is OpKind.COMPLEMENT:
         gp = graph_degree_polynomial(g)
         for v in range(g.n):
-            expected.append(
-                complement_formula(gp, degree_polynomial(g, v), g.degree(v), g.n)
-            )
+            expected.append(complement_formula(gp, g_polys[v], g.degree(v), g.n))
     else:
         assert h is not None
-        g_polys = [degree_polynomial(g, v) for v in range(g.n)]
-        h_polys = [degree_polynomial(h, v) for v in range(h.n)]
+        h_polys = vertex_polynomials(h)
         if op is OpKind.JOIN:
             gp_g = graph_degree_polynomial(g)
             gp_h = graph_degree_polynomial(h)
@@ -390,9 +408,9 @@ class DpReport:
 
 
 def dp_report(g: SimpleGraph) -> DpReport:
-    vertex_polys = tuple(degree_polynomial(g, v) for v in range(g.n))
+    vertex_polys = vertex_polynomials(g)
     sums_ok = all(
-        coeff_sum(vertex_polys[v]) == g.degree(v) for v in range(g.n)
+        coeff_sum(p) == d for p, d in zip(vertex_polys, g.degrees())
     )
     sequence = None
     regular_r = None

@@ -11,6 +11,7 @@ across runs.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -137,42 +138,40 @@ def from_edge_list(text: str) -> EdgeListResult:
     """Parse lines of ``u v`` token pairs into a graph.
 
     Vertices are created in first-appearance order; a single-token line
-    declares an isolated vertex; ``#`` starts a comment.
+    declares an isolated vertex; ``#`` starts a comment.  The adjacency rows
+    are built in the same pass over the lines: an edge already in its row
+    is a duplicate, reported as ``(min, max)`` in order of appearance.
     """
-    index: dict[str, int] = {}
-    labels: list[str] = []
-    edges: set[tuple[int, int]] = set()
+    index: dict[str, int] = {}  # label -> vertex, in first-appearance order
+    rows: defaultdict[int, set[int]] = defaultdict(set)
     duplicates: list[tuple[int, int]] = []
-
-    def vertex(token: str) -> int:
-        if token not in index:
-            index[token] = len(labels)
-            labels.append(token)
-        return index[token]
-
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = line.split("#", 1)[0]
         tokens = line.split()
-        if len(tokens) == 1:
-            vertex(tokens[0])
-            continue
-        if len(tokens) != 2:
+        if len(tokens) == 2:
+            u = index.setdefault(tokens[0], len(index))
+            v = index.setdefault(tokens[1], len(index))
+            if u == v:
+                raise SelfLoopError(
+                    f"line {line_no}: self-loop at vertex {tokens[0]!r}"
+                )
+            row = rows[u]
+            if v in row:
+                duplicates.append((u, v) if u < v else (v, u))
+            else:
+                row.add(v)
+                rows[v].add(u)
+        elif len(tokens) == 1:
+            index.setdefault(tokens[0], len(index))
+        elif tokens:
             raise EdgeListFormatError(
-                f"line {line_no}: expected 1 or 2 tokens, got {line!r}"
+                f"line {line_no}: expected 1 or 2 tokens, got {line.strip()!r}"
             )
-        u, v = vertex(tokens[0]), vertex(tokens[1])
-        if u == v:
-            raise SelfLoopError(f"line {line_no}: self-loop at vertex {tokens[0]!r}")
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            duplicates.append(key)
-        else:
-            edges.add(key)
-    if not labels:
+    if not index:
         raise EmptyInputError("edge list describes no vertices")
-    graph = SimpleGraph.from_edges(len(labels), sorted(edges), labels)
+    n = len(index)
+    adj = tuple(frozenset(rows.get(v, ())) for v in range(n))
+    graph = SimpleGraph(n, tuple(index), adj)
     return EdgeListResult(graph, tuple(duplicates))
 
 
@@ -313,9 +312,10 @@ def _product_labels(g: SimpleGraph, h: SimpleGraph) -> list[str]:
 
 def cartesian_product(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     n2 = h.n
+    h_edges = h.edges()
     edges = []
     for u in range(g.n):
-        for a, b in h.edges():
+        for a, b in h_edges:
             edges.append((u * n2 + a, u * n2 + b))
     for u, v in g.edges():
         for a in range(n2):
@@ -325,9 +325,10 @@ def cartesian_product(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
 
 def tensor_product(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     n2 = h.n
+    h_edges = h.edges()
     edges = []
     for u, v in g.edges():
-        for a, b in h.edges():
+        for a, b in h_edges:
             edges.append((u * n2 + a, v * n2 + b))
             edges.append((u * n2 + b, v * n2 + a))
     return SimpleGraph.from_edges(g.n * n2, edges, _product_labels(g, h))
@@ -335,9 +336,10 @@ def tensor_product(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
 
 def lexicographic_product(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     n2 = h.n
+    h_edges = h.edges()
     edges = []
     for u in range(g.n):
-        for a, b in h.edges():
+        for a, b in h_edges:
             edges.append((u * n2 + a, u * n2 + b))
     for u, v in g.edges():
         for a in range(n2):

@@ -12,8 +12,9 @@ reflection) needed by the graph-operation formulas.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .errors import (
     DegreeBoundError,
@@ -189,7 +190,7 @@ def coeff_stats(poly: DegreePoly) -> CoeffStats:
 
 def coeff_sum(poly: DegreePoly) -> int:
     """Sum of all coefficients (0 for the zero polynomial)."""
-    return sum(c for _, c in poly)
+    return sum(poly._terms.values())
 
 
 # -- the sequence-presentation order ------------------------------------------
@@ -205,25 +206,42 @@ def compare_polys(f: DegreePoly, g: DegreePoly) -> int:
     highest such exponent down.  If that exhausts without deciding, the full
     coefficient vectors are compared from the highest exponent at which they
     differ (a documented extension: the shared-support cascade alone cannot
-    separate e.g. 2x^3 from x^2+x).
+    separate e.g. 2x^3 from x^2+x).  Past equal shared coefficients, that
+    first difference is the highest exponent present in only one of the two,
+    and the polynomial that has it is the larger.
+
+    Both stages run as one merge walk over the two descending term lists:
+    the first unequal coefficient at a shared exponent decides at once, and
+    the first exponent met in only one polynomial decides if none does.
     """
     if f.is_zero or g.is_zero:
         raise ZeroOperandError("comparison is undefined for the zero polynomial")
-    if f == g:
-        return EQUAL
-    sf, sg = coeff_sum(f), coeff_sum(g)
+    sf, sg = sum(f._terms.values()), sum(g._terms.values())
     if sf != sg:
         return LESS if sf < sg else GREATER
-    shared = sorted(set(f.support()) & set(g.support()), reverse=True)
-    for exponent in shared:
-        a, b = f.coefficient(exponent), g.coefficient(exponent)
-        if a != b:
-            return LESS if a < b else GREATER
-    for exponent in sorted(set(f.support()) | set(g.support()), reverse=True):
-        a, b = f.coefficient(exponent), g.coefficient(exponent)
-        if a != b:
-            return LESS if a < b else GREATER
-    raise AssertionError("distinct polynomials with identical terms")
+    fp, gp = f._pairs, g._pairs
+    nf, ng = len(fp), len(gp)
+    i = j = 0
+    only = EQUAL  # decision of the first exponent present in one polynomial
+    while i < nf and j < ng:
+        ef, cf = fp[i]
+        eg, cg = gp[j]
+        if ef == eg:
+            if cf != cg:
+                return LESS if cf < cg else GREATER
+            i += 1
+            j += 1
+        elif ef > eg:
+            if not only:
+                only = GREATER
+            i += 1
+        else:
+            if not only:
+                only = LESS
+            j += 1
+    # Equal sums: if the walk left terms in one polynomial unread, it also
+    # met an exponent present in only that one, so ``only`` is set.
+    return only
 
 
 def presentation_key(poly: DegreePoly) -> tuple:
@@ -233,7 +251,7 @@ def presentation_key(poly: DegreePoly) -> tuple:
     for :func:`sort_polys_desc`; it orders by coefficient sum, then by the
     coefficient vector read from the highest exponent down.
     """
-    return (coeff_sum(poly), tuple(poly))
+    return (sum(poly._terms.values()), poly._pairs)
 
 
 def sort_polys_desc(polys: Iterable[DegreePoly]) -> list[DegreePoly]:

@@ -10,7 +10,14 @@ import itertools
 from collections import Counter
 
 from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
-from degpoly.poly import compare_polys, presentation_key
+from degpoly.errors import (
+    EdgeListFormatError,
+    EmptyInputError,
+    SelfLoopError,
+    ZeroOperandError,
+)
+from degpoly.graphs import EdgeListResult
+from degpoly.poly import presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
     Witness,
@@ -86,6 +93,29 @@ def dp_multiset(n: int, edges) -> tuple:
     return tuple(sorted(tuple(sorted(c.items(), reverse=True)) for c in counts))
 
 
+def oracle_compare_polys(f: DegreePoly, g: DegreePoly) -> int:
+    """The comparison cascade straight from its definition, with sets and
+    sorts: coefficient sum, then the shared exponents from the highest
+    down, then every exponent from the highest down."""
+    if f.is_zero or g.is_zero:
+        raise ZeroOperandError("comparison is undefined for the zero polynomial")
+    if f == g:
+        return 0
+    sf, sg = sum(c for _, c in f), sum(c for _, c in g)
+    if sf != sg:
+        return -1 if sf < sg else 1
+    shared = sorted(set(f.support()) & set(g.support()), reverse=True)
+    for exponent in shared:
+        a, b = f.coefficient(exponent), g.coefficient(exponent)
+        if a != b:
+            return -1 if a < b else 1
+    for exponent in sorted(set(f.support()) | set(g.support()), reverse=True):
+        a, b = f.coefficient(exponent), g.coefficient(exponent)
+        if a != b:
+            return -1 if a < b else 1
+    raise AssertionError("distinct polynomials with identical terms")
+
+
 def oracle_sort_polys_desc(polys) -> list[DegreePoly]:
     """The presentation rule straight from its definition: arrange by
     ``presentation_key`` descending, then insert each polynomial before the
@@ -94,12 +124,52 @@ def oracle_sort_polys_desc(polys) -> list[DegreePoly]:
     out: list[DegreePoly] = []
     for p in pending:
         for i, q in enumerate(out):
-            if compare_polys(p, q) >= 0:
+            if oracle_compare_polys(p, q) >= 0:
                 out.insert(i, p)
                 break
         else:
             out.append(p)
     return out
+
+
+def oracle_from_edge_list(text: str) -> EdgeListResult:
+    """The edge-list parser in three passes: collect the edge set, sort it,
+    then build the graph through ``SimpleGraph.from_edges``."""
+    index: dict[str, int] = {}
+    labels: list[str] = []
+    edges: set[tuple[int, int]] = set()
+    duplicates: list[tuple[int, int]] = []
+
+    def vertex(token: str) -> int:
+        if token not in index:
+            index[token] = len(labels)
+            labels.append(token)
+        return index[token]
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) == 1:
+            vertex(tokens[0])
+            continue
+        if len(tokens) != 2:
+            raise EdgeListFormatError(
+                f"line {line_no}: expected 1 or 2 tokens, got {line!r}"
+            )
+        u, v = vertex(tokens[0]), vertex(tokens[1])
+        if u == v:
+            raise SelfLoopError(f"line {line_no}: self-loop at vertex {tokens[0]!r}")
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            duplicates.append(key)
+        else:
+            edges.add(key)
+    if not labels:
+        raise EmptyInputError("edge list describes no vertices")
+    graph = SimpleGraph.from_edges(len(labels), sorted(edges), labels)
+    return EdgeListResult(graph, tuple(duplicates))
 
 
 def oracle_realize(

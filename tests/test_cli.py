@@ -148,6 +148,24 @@ class TestCheck:
         assert code == 0
         assert "conditions pass" in out
 
+    @pytest.mark.parametrize(
+        "text, presented",
+        [
+            pytest.param("x, 2x^2, 2x, 2x, x", False, id="text-unsorted"),
+            pytest.param("2x^2, 2x, 2x, x, x", True, id="text-presented"),
+            pytest.param("[[[1,1]], [[2,2]], [[1,2]], [[1,2]], [[1,1]]]", False,
+                         id="pairs-unsorted"),
+            pytest.param("[[[2,2]], [[1,2]], [[1,2]], [[1,1]], [[1,1]]]", True,
+                         id="pairs-presented"),
+        ],
+    )
+    def test_reports_whether_input_was_presented(self, capsys, text, presented):
+        code, out, _ = run(capsys, "--format", "structured", "check", text)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["input_was_sorted"] is presented
+        assert doc["sequence"] == [[[2, 2]], [[1, 2]], [[1, 2]], [[1, 1]], [[1, 1]]]
+
 
 class TestRealize:
     def test_insufficiency(self, capsys):

@@ -31,6 +31,7 @@ from degpoly import (
     regularity_from_sequence,
     tensor_formula,
     verify_operation,
+    vertex_polynomials,
 )
 from degpoly.errors import (
     BadParamsError,
@@ -74,6 +75,11 @@ class TestVertexPolynomial:
             p = degree_polynomial(g, v)
             assert p == naive_vertex_poly(g, v)
             assert coeff_sum(p) == g.degree(v)
+
+    @given(graphs_st(min_n=0, max_n=8))
+    def test_whole_graph_equals_per_vertex(self, g):
+        want = tuple(degree_polynomial(g, v) for v in range(g.n))
+        assert vertex_polynomials(g) == want
 
     @given(graphs_st())
     def test_no_constant_term_without_isolated_vertices(self, g):

@@ -30,12 +30,19 @@ from degpoly import (
 from degpoly.errors import (
     BadParamsError,
     BadVertexError,
+    DegpolyError,
     EmptyInputError,
     SelfLoopError,
     TooLargeError,
 )
 from degpoly.graphs import FAMILY_MAX_N
-from helpers import brute_min_mask, degree_multiset, paw_graph, mask_graph
+from helpers import (
+    brute_min_mask,
+    degree_multiset,
+    mask_graph,
+    oracle_from_edge_list,
+    paw_graph,
+)
 
 
 @st.composite
@@ -76,6 +83,68 @@ class TestEdgeList:
         g = from_edge_list("a b # an edge\nc\n# whole-line comment\n").graph
         assert g.n == 3
         assert g.degree(2) == 0
+
+    @staticmethod
+    def _random_line(rng: random.Random, bad: float) -> str:
+        """One edge-list line: mostly edges, with single tokens, comments,
+        blank lines and padding; malformed lines and self-loops with
+        probability ``bad``."""
+        labels = ["a", "b", "c", "d", "e", "f", "g7", "x_1"]
+
+        def token() -> str:
+            return rng.choice(labels)
+
+        roll = rng.random()
+        if roll < bad / 2:
+            u = token()
+            return f"{u} {u}"
+        if roll < bad:
+            tokens = " ".join(token() for _ in range(rng.choice([3, 4])))
+            return rng.choice(["", " "]) + tokens + rng.choice(["", "\t", " # x"])
+        kind = rng.choice(["edge"] * 6 + ["single", "comment", "blank", "inline"])
+        if kind == "edge":
+            u, v = rng.sample(labels, 2)
+            indent, gap = rng.choice(["", " ", "\t"]), rng.choice([" ", "  ", "\t"])
+            return indent + u + gap + v
+        if kind == "single":
+            return token() + rng.choice(["", " "])
+        if kind == "comment":
+            return rng.choice(["# a comment", "#", "   # a b"])
+        if kind == "blank":
+            return rng.choice(["", "   "])
+        u, v = rng.sample(["a", "b", "c", "d"], 2)
+        return f"{u} {v} # trailing {token()}"
+
+    @pytest.mark.parametrize("bad", [0.0, 0.05])
+    def test_equals_oracle_on_random_texts(self, bad):
+        # Duplicates arise in both orientations: labels come from a small
+        # pool and each edge line draws its two ends in random order.
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(1500):
+            text = "\n".join(
+                self._random_line(rng, bad) for _ in range(rng.randint(0, 30))
+            )
+            try:
+                want = oracle_from_edge_list(text)
+            except DegpolyError as exc:
+                raised += 1
+                with pytest.raises(type(exc)) as info:
+                    from_edge_list(text)
+                assert type(info.value) is type(exc)
+                assert str(info.value) == str(exc)
+                continue
+            got = from_edge_list(text)
+            assert got.graph.labels == want.graph.labels
+            assert got.graph.adj == want.graph.adj
+            assert got.duplicate_edges == want.duplicate_edges
+        assert raised > (100 if bad else 0)
+
+    def test_duplicates_in_both_orientations(self):
+        text = "a b\nb c\nb a\nc b\na b\n"
+        result = from_edge_list(text)
+        assert result.duplicate_edges == ((0, 1), (1, 2), (0, 1))
+        assert result == oracle_from_edge_list(text)
 
     def test_vertex_lookup(self):
         g = paw_graph()

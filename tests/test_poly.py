@@ -28,7 +28,7 @@ from degpoly.errors import (
     ZeroOperandError,
 )
 from degpoly.poly import presentation_key
-from helpers import oracle_sort_polys_desc
+from helpers import oracle_compare_polys, oracle_sort_polys_desc
 
 P = parse_poly
 
@@ -142,6 +142,24 @@ class TestCompare:
         assert compare_polys(x, y) > 0
         assert compare_polys(y, z) > 0
         assert compare_polys(z, x) > 0
+
+    def test_equals_oracle_exhaustive(self):
+        # Every ordered pair of a small pool plus the intransitive 3-cycle:
+        # the merge walk must give the set-based cascade's answer, and
+        # swapping the operands must negate it.
+        cycle = [P("3x^4+x^2"), P("2x^4+2x"), P("x^3+2x^2+x")]
+        population = bounded_set(max_exp=4, max_coeff=2) + cycle
+        for f in population:
+            for g in population:
+                c = compare_polys(f, g)
+                assert c == oracle_compare_polys(f, g), (str(f), str(g))
+                assert compare_polys(g, f) == -c
+
+    @given(nonzero_polys, nonzero_polys)
+    def test_equals_oracle(self, f, g):
+        c = compare_polys(f, g)
+        assert c == oracle_compare_polys(f, g)
+        assert compare_polys(g, f) == -c
 
     @pytest.mark.xfail(
         strict=True,
