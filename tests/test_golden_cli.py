@@ -29,6 +29,8 @@ CYCLE_7 = ", ".join(["2x^2"] * 7)
 P3 = "a b\nb c\n"
 C4 = "p q\nq r\nr s\ns p\n"
 PAW = "a b\na c\nb c\nc d\n"
+# A single-token line declares an isolated vertex.
+P3_ISOLATED = "a b\nb c\nz\n"
 # Three coefficient-sum groups, a duplicate and the intransitive 3-cycle of
 # test_poly; its presentation is not plain presentation-key order.
 CHECK_CYCLE = "x^3+2x^2+x, 2x^4+2x, 3x^4+x^2, 2x^4+2x, x^2, 2x^3, x^3+2x^2+x"
@@ -52,6 +54,7 @@ def _invocations() -> dict[str, list[str]]:
     for kind in ("join", "cartesian", "tensor", "lexicographic"):
         out[f"op-{kind}"] = ["op", kind, P3, C4, "--verify"]
     out["op-complement"] = ["op", "complement", PAW, "--verify"]
+    out.update(_op_edge_cases())
     out["dp"] = ["dp", PAW]
     cases = {name: ["--format", "structured", *argv] for name, argv in out.items()}
     cases.update(_text_invocations())
@@ -77,7 +80,17 @@ def _text_invocations() -> dict[str, list[str]]:
     out["op-complement"] = ["op", "complement", PAW, "--verify"]
     out["op-complement-dot"] = ["op", "complement", PAW, "--verify", "--dot"]
     out["op-join-unverified"] = ["op", "join", P3, C4]
+    out.update(_op_edge_cases())
     return {f"text-{name}": argv for name, argv in out.items()}
+
+
+def _op_edge_cases() -> dict[str, list[str]]:
+    """Operands whose labels collide in a join, and an isolated vertex."""
+    out = {"op-join-collision": ["op", "join", PAW, PAW, "--verify"]}
+    for kind in ("join", "cartesian", "tensor", "lexicographic"):
+        out[f"op-{kind}-isolated"] = ["op", kind, P3_ISOLATED, P3, "--verify"]
+    out["op-complement-isolated"] = ["op", "complement", P3_ISOLATED, "--verify"]
+    return out
 
 
 INVOCATIONS = _invocations()
