@@ -25,7 +25,7 @@ from typing import Optional
 from . import dp as dp_mod
 from . import graphs
 from . import realizability as realize_mod
-from .dp import PolySequence, dp_report, verify_operation
+from .dp import dp_report, verify_operation
 from .errors import DegpolyError
 from .graphs import OpKind, SimpleGraph, emit_dot, from_edge_list
 from .poly import DegreePoly, format_poly
@@ -169,10 +169,6 @@ def _load_entries(arg: str) -> list[DegreePoly]:
     return dp_mod.parse_entries(text)
 
 
-def _load_sequence(arg: str) -> PolySequence:
-    return PolySequence.from_polys(_load_entries(arg))
-
-
 def _emit(out: dict | list[str]) -> None:
     """Print a structured object as one JSON line, or text lines as they are."""
     if isinstance(out, dict):
@@ -276,14 +272,13 @@ def _condition_lines(report) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    entries = _load_entries(args.sequence)
-    seq = PolySequence.from_polys(entries)
     # The raw entries, so that the report says whether they came presented.
-    report = realize_mod.necessary_conditions(entries)
+    report = realize_mod.necessary_conditions(_load_entries(args.sequence))
     if args.format == "structured":
-        _emit({"command": "check", "sequence": seq.to_pairs(), **report.to_dict()})
+        sequence = report.sequence.to_pairs()
+        _emit({"command": "check", "sequence": sequence, **report.to_dict()})
     else:
-        lines = [f"sequence: {seq}"]
+        lines = [f"sequence: {report.sequence}"]
         lines.extend(_condition_lines(report))
         lines.append("verdict: " + ("conditions pass" if report.all_pass
                                     else f"not realizable (condition {report.first_failure()})"))
@@ -292,9 +287,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    seq = _load_sequence(args.sequence)
     report = realize_mod.realize(
-        seq,
+        _load_entries(args.sequence),
         max_n=args.max_n,
         want_all_witnesses=args.all,
         workers=args.workers,
@@ -302,7 +296,7 @@ def _cmd_realize(args) -> int:
     if args.format == "structured":
         _emit({"command": "realize", **report.to_dict()})
     else:
-        lines = [f"sequence: {seq}"]
+        lines = [f"sequence: {report.sequence}"]
         lines.extend(_condition_lines(report.conditions))
         if report.searched:
             scope = "exhaustive" if report.exhaustive else "stopped early"

@@ -327,46 +327,25 @@ def verify_operation(
     factor data only.  The two must agree vertex by vertex."""
     op = OpKind(op)
     result = graphs.apply_operation(op, g, h)
-    direct = vertex_polynomials(result)
-    g_polys = vertex_polynomials(g)
-    expected: list[DegreePoly] = []
+    gp, gd, dp_g = vertex_polynomials(g), g.degrees(), graph_degree_polynomial(g)
     if op is OpKind.COMPLEMENT:
-        gp = graph_degree_polynomial(g)
-        for v in range(g.n):
-            expected.append(complement_formula(gp, g_polys[v], g.degree(v), g.n))
+        expected = [complement_formula(dp_g, p, d, g.n) for p, d in zip(gp, gd)]
+    elif op is OpKind.JOIN:
+        # G's side, then H's side with the factor roles swapped.
+        dp_h = graph_degree_polynomial(h)
+        expected = [join_formula(p, dp_h, g.n, h.n) for p in gp]
+        expected += [join_formula(p, dp_g, h.n, g.n) for p in vertex_polynomials(h)]
     else:
-        assert h is not None
-        h_polys = vertex_polynomials(h)
-        if op is OpKind.JOIN:
-            gp_g = graph_degree_polynomial(g)
-            gp_h = graph_degree_polynomial(h)
-            # Join vertices are the G side then the H side; the H side uses
-            # the same formula with the factor roles swapped.
-            for u in range(g.n):
-                expected.append(join_formula(g_polys[u], gp_h, g.n, h.n))
-            for v in range(h.n):
-                expected.append(join_formula(h_polys[v], gp_g, h.n, g.n))
-        elif op is OpKind.CARTESIAN:
-            for u in range(g.n):
-                for v in range(h.n):
-                    expected.append(
-                        cartesian_formula(
-                            g_polys[u], h_polys[v], g.degree(u), h.degree(v)
-                        )
-                    )
-        elif op is OpKind.TENSOR:
-            for u in range(g.n):
-                for v in range(h.n):
-                    expected.append(tensor_formula(g_polys[u], h_polys[v]))
-        elif op is OpKind.LEXICOGRAPHIC:
-            gp_h = graph_degree_polynomial(h)
-            for u in range(g.n):
-                for v in range(h.n):
-                    expected.append(
-                        lexicographic_formula(
-                            g_polys[u], h_polys[v], gp_h, g.degree(u), h.n
-                        )
-                    )
+        hp, hd, dp_h = vertex_polynomials(h), h.degrees(), graph_degree_polynomial(h)
+        formula = {
+            OpKind.CARTESIAN: lambda u, a: cartesian_formula(gp[u], hp[a], gd[u], hd[a]),
+            OpKind.TENSOR: lambda u, a: tensor_formula(gp[u], hp[a]),
+            OpKind.LEXICOGRAPHIC: lambda u, a: lexicographic_formula(
+                gp[u], hp[a], dp_h, gd[u], h.n
+            ),
+        }[op]
+        expected = graphs.product_map(g, h, formula)
+    direct = vertex_polynomials(result)
     checks = tuple(
         VertexCheck(result.labels[v], direct[v], expected[v])
         for v in range(result.n)

@@ -377,8 +377,9 @@ def _graphical_positive_multisets(n: int) -> Iterator[tuple[int, ...]]:
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the sequence-level necessary conditions plus the integer
-    projection checks."""
+    projection checks, for ``sequence`` (the checked entries, presented)."""
 
+    sequence: PolySequence
     cond_a_pass: bool
     degree_total: int
     cond_b_pass: bool
@@ -449,13 +450,12 @@ def necessary_conditions(seq: SeqLike) -> ConditionReport:
     The integer projection is additionally tested for graphicality.
     """
     if isinstance(seq, PolySequence):
-        entries = seq.entries
         input_was_sorted = True
     else:
         raw = tuple(seq)
-        canonical = PolySequence.from_polys(raw)
-        entries = canonical.entries
-        input_was_sorted = raw == entries
+        seq = PolySequence.from_polys(raw)
+        input_was_sorted = raw == seq.entries
+    entries = seq.entries
     if not entries:
         raise ZeroEntryError("cannot check an empty sequence")
     for p in entries:
@@ -491,6 +491,7 @@ def necessary_conditions(seq: SeqLike) -> ConditionReport:
 
     projection = tuple(sorted(sums, reverse=True))
     return ConditionReport(
+        sequence=seq,
         cond_a_pass=cond_a,
         degree_total=total,
         cond_b_pass=cond_b_violation is None,
@@ -603,21 +604,21 @@ def realize(
 ) -> RealizabilityReport:
     """Decide realizability of a polynomial sequence.
 
-    Pipeline: necessary conditions; if any fails (and conditions are not
-    skipped) the sequence is unrealizable with the failing condition cited.
-    Otherwise the labeled graphs on the non-increasing projected degree
-    assignment whose vertex polynomials are owed by the sequence are
-    enumerated, each vertex checked as soon as its neighbourhood is final;
-    they are deduplicated up to isomorphism and reported by canonical form
-    (all witnesses sorted by canonical edges, or the first one met), and
-    the report states whether the search was exhaustive.  Sequences longer
-    than ``max_n`` are not searched; the report then stays honestly
-    inconclusive instead of sampling.
+    Pipeline: necessary conditions, on the entries in the order given (so
+    the report says whether they came presented); if any fails (and
+    conditions are not skipped) the sequence is unrealizable with the
+    failing condition cited.  Otherwise the labeled graphs on the
+    non-increasing projected degree assignment whose vertex polynomials are
+    owed by the sequence are enumerated, each vertex checked as soon as its
+    neighbourhood is final; they are deduplicated up to isomorphism and
+    reported by canonical form (all witnesses sorted by canonical edges, or
+    the first one met), and the report states whether the search was
+    exhaustive.  Sequences longer than ``max_n`` are not searched; the
+    report then stays honestly inconclusive instead of sampling.
     """
     _check_workers(workers)
-    if not isinstance(seq, PolySequence):
-        seq = PolySequence.from_polys(seq)
     conditions = necessary_conditions(seq)
+    seq = conditions.sequence
     n = len(seq)
 
     def report(searched, exhaustive, witnesses, realizable, reason):

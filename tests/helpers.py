@@ -16,7 +16,7 @@ from degpoly.errors import (
     SelfLoopError,
     ZeroOperandError,
 )
-from degpoly.graphs import EdgeListResult
+from degpoly.graphs import EdgeListResult, OpKind
 from degpoly.poly import presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
@@ -170,6 +170,56 @@ def oracle_from_edge_list(text: str) -> EdgeListResult:
         raise EmptyInputError("edge list describes no vertices")
     graph = SimpleGraph.from_edges(len(labels), sorted(edges), labels)
     return EdgeListResult(graph, tuple(duplicates))
+
+
+def oracle_apply_operation(op, g: SimpleGraph, h: SimpleGraph = None) -> SimpleGraph:
+    """The five operations from their edge lists: every result edge listed
+    as a tuple, then the graph built through ``SimpleGraph.from_edges``.
+    Product vertex (u, v) gets index u*|H| + v; a join lists G's vertices,
+    then H's, suffixing a colliding H label with a prime."""
+    op = OpKind(op)
+    if op is OpKind.COMPLEMENT:
+        edges = (
+            (u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if v not in g.adj[u]
+        )
+        return SimpleGraph.from_edges(g.n, edges, g.labels)
+    n1, n2 = g.n, h.n
+    if op is OpKind.JOIN:
+        taken = set(g.labels)
+        labels = list(g.labels)
+        for lbl in h.labels:
+            labels.append(f"{lbl}'" if lbl in taken else lbl)
+        edges = list(g.edges())
+        edges += [(n1 + u, n1 + v) for u, v in h.edges()]
+        edges += [(u, n1 + v) for u in range(n1) for v in range(n2)]
+        return SimpleGraph.from_edges(n1 + n2, edges, labels)
+    h_edges = h.edges()
+    edges = []
+    if op is OpKind.CARTESIAN:
+        for u in range(g.n):
+            for a, b in h_edges:
+                edges.append((u * n2 + a, u * n2 + b))
+        for u, v in g.edges():
+            for a in range(n2):
+                edges.append((u * n2 + a, v * n2 + a))
+    elif op is OpKind.TENSOR:
+        for u, v in g.edges():
+            for a, b in h_edges:
+                edges.append((u * n2 + a, v * n2 + b))
+                edges.append((u * n2 + b, v * n2 + a))
+    else:  # lexicographic
+        for u in range(g.n):
+            for a, b in h_edges:
+                edges.append((u * n2 + a, u * n2 + b))
+        for u, v in g.edges():
+            for a in range(n2):
+                for b in range(n2):
+                    edges.append((u * n2 + a, v * n2 + b))
+    labels = [f"({a},{b})" for a in g.labels for b in h.labels]
+    return SimpleGraph.from_edges(g.n * n2, edges, labels)
 
 
 def oracle_realize(

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, output determinism."""
 
+import itertools
 import json
 import time
 
@@ -84,7 +85,30 @@ class TestFamily:
         assert "Traceback" not in err
 
 
+K40 = "".join(f"a{u} a{v}\n" for u, v in itertools.combinations(range(40), 2))
+
+
+def edgeless(n: int) -> str:
+    return "".join(f"a{u}\n" for u in range(n))
+
+
 class TestOp:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["lexicographic", K40, K40], id="K40[K40]"),
+            pytest.param(["tensor", edgeless(400), edgeless(400)], id="160000-vertices"),
+            pytest.param(["complement", edgeless(5000)], id="complement-5000"),
+        ],
+    )
+    def test_result_beyond_bound_exits_one_promptly(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "op", *argv, "--verify")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and not out
+        assert err.startswith("error: TooLargeError: ")
+        assert "Traceback" not in err
+
     def test_join_verify(self, capsys, tmp_path):
         p3 = tmp_path / "p3.edges"
         p3.write_text("a b\nb c\n")
@@ -149,21 +173,29 @@ class TestCheck:
         assert "conditions pass" in out
 
     @pytest.mark.parametrize(
-        "text, presented",
+        "command, text, presented",
         [
-            pytest.param("x, 2x^2, 2x, 2x, x", False, id="text-unsorted"),
-            pytest.param("2x^2, 2x, 2x, x, x", True, id="text-presented"),
-            pytest.param("[[[1,1]], [[2,2]], [[1,2]], [[1,2]], [[1,1]]]", False,
+            pytest.param("check", "x, 2x^2, 2x, 2x, x", False, id="text-unsorted"),
+            pytest.param("check", "2x^2, 2x, 2x, x, x", True, id="text-presented"),
+            pytest.param("check", "[[[1,1]], [[2,2]], [[1,2]], [[1,2]], [[1,1]]]", False,
                          id="pairs-unsorted"),
-            pytest.param("[[[2,2]], [[1,2]], [[1,2]], [[1,1]], [[1,1]]]", True,
+            pytest.param("check", "[[[2,2]], [[1,2]], [[1,2]], [[1,1]], [[1,1]]]", True,
                          id="pairs-presented"),
+            pytest.param("realize", "x, 2x^2, 2x, 2x, x", False, id="realize-text-unsorted"),
+            pytest.param("realize", "2x^2, 2x, 2x, x, x", True, id="realize-text-presented"),
+            pytest.param("realize", "[[[1,1]], [[2,2]], [[1,2]], [[1,2]], [[1,1]]]", False,
+                         id="realize-pairs-unsorted"),
+            pytest.param("realize", "[[[2,2]], [[1,2]], [[1,2]], [[1,1]], [[1,1]]]", True,
+                         id="realize-pairs-presented"),
         ],
     )
-    def test_reports_whether_input_was_presented(self, capsys, text, presented):
-        code, out, _ = run(capsys, "--format", "structured", "check", text)
-        assert code == 0
+    def test_reports_whether_input_was_presented(self, capsys, command, text, presented):
+        code, out, _ = run(capsys, "--format", "structured", command, text)
+        # The sequence passes the conditions but has no realization.
+        assert code == (2 if command == "realize" else 0)
         doc = json.loads(out)
-        assert doc["input_was_sorted"] is presented
+        conditions = doc["conditions"] if command == "realize" else doc
+        assert conditions["input_was_sorted"] is presented
         assert doc["sequence"] == [[[2, 2]], [[1, 2]], [[1, 2]], [[1, 1]], [[1, 1]]]
 
 

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from degpoly import (
@@ -35,11 +36,13 @@ from degpoly.errors import (
     SelfLoopError,
     TooLargeError,
 )
+from degpoly import graphs as graphs_mod
 from degpoly.graphs import FAMILY_MAX_N
 from helpers import (
     brute_min_mask,
     degree_multiset,
     mask_graph,
+    oracle_apply_operation,
     oracle_from_edge_list,
     paw_graph,
 )
@@ -293,6 +296,49 @@ class TestProducts:
             apply_operation("complement", g, h)
         with pytest.raises(BadParamsError):
             apply_operation("join", g)
+
+
+@st.composite
+def labeled_graphs_st(draw, max_n=5):
+    """Graphs of order 0 to max_n with labels from a small shared alphabet,
+    so that two draws often share labels; random masks leave vertices
+    isolated."""
+    n = draw(st.integers(0, max_n))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    labels = draw(st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n, unique=True))
+    g = mask_graph(n, mask)
+    return SimpleGraph(n, tuple(labels), g.adj)
+
+
+class TestOperationsAgainstOracle:
+    @pytest.mark.parametrize("kind", [k.value for k in OpKind])
+    @given(g=labeled_graphs_st(), h=labeled_graphs_st())
+    @example(g=empty_graph(0), h=paw_graph())
+    @example(g=paw_graph(), h=empty_graph(0))
+    @example(g=complete_graph(1), h=paw_graph())
+    @example(g=paw_graph(), h=empty_graph(1, ["c"]))
+    @example(g=paw_graph(), h=paw_graph())
+    def test_equals_edge_list_builders(self, kind, g, h):
+        second = None if kind == "complement" else h
+        got = apply_operation(kind, g, second)
+        want = oracle_apply_operation(kind, g, second)
+        assert (got.n, got.labels, got.adj) == (want.n, want.labels, want.adj)
+        for v, row in enumerate(got.adj):
+            assert v not in row
+            assert all(v in got.adj[w] for w in row)
+
+
+    @pytest.mark.parametrize("kind", [k.value for k in OpKind])
+    @given(g=labeled_graphs_st(), h=labeled_graphs_st())
+    def test_size_bound_is_the_result_size(self, kind, g, h):
+        second = None if kind == "complement" else h
+        want = oracle_apply_operation(kind, g, second)
+        size = want.n + want.edge_count
+        with mock.patch.object(graphs_mod, "OP_MAX_SIZE", size):
+            apply_operation(kind, g, second)
+        with mock.patch.object(graphs_mod, "OP_MAX_SIZE", size - 1):
+            with pytest.raises(TooLargeError, match=f"got {size}$"):
+                apply_operation(kind, g, second)
 
 
 class TestCanonicalForm:
