@@ -10,6 +10,11 @@ from degpoly import realizability
 from degpoly.cli import main
 
 PAW_EDGES = "a b\na c\nb c\nc d\n"
+K40 = "".join(f"a{u} a{v}\n" for u, v in itertools.combinations(range(40), 2))
+
+
+def edgeless(n: int) -> str:
+    return "".join(f"a{u}\n" for u in range(n))
 
 
 def run(capsys, *argv):
@@ -83,13 +88,6 @@ class TestFamily:
         assert code == 1 and not out
         assert err.startswith("error: TooLargeError: ")
         assert "Traceback" not in err
-
-
-K40 = "".join(f"a{u} a{v}\n" for u, v in itertools.combinations(range(40), 2))
-
-
-def edgeless(n: int) -> str:
-    return "".join(f"a{u}\n" for u in range(n))
 
 
 class TestOp:

@@ -28,6 +28,7 @@ from degpoly import (
     path_graph,
     tensor_product_graph,
 )
+from degpoly import graphs as graphs_mod
 from degpoly.errors import (
     BadParamsError,
     BadVertexError,
@@ -36,7 +37,6 @@ from degpoly.errors import (
     SelfLoopError,
     TooLargeError,
 )
-from degpoly import graphs as graphs_mod
 from degpoly.graphs import FAMILY_MAX_N
 from helpers import (
     brute_min_mask,
@@ -326,7 +326,6 @@ class TestOperationsAgainstOracle:
         for v, row in enumerate(got.adj):
             assert v not in row
             assert all(v in got.adj[w] for w in row)
-
 
     @pytest.mark.parametrize("kind", [k.value for k in OpKind])
     @given(g=labeled_graphs_st(), h=labeled_graphs_st())
