@@ -216,9 +216,12 @@ def join_formula(
     vertex_poly: DegreePoly, other_graph_poly: DegreePoly, n_own: int, n_other: int
 ) -> DegreePoly:
     """Vertex polynomial in a join: x^n_other * dp(u) + x^n_own * dp(H),
-    where u lives in the factor of order n_own and H is the other factor."""
-    if n_own < 1 or n_other < 1:
-        raise InconsistentInputsError("join factors must have at least one vertex")
+    where u lives in the factor of order n_own and H is the other factor.
+    H may be empty (n_other = 0, dp(H) = 0): then the result is dp(u)."""
+    if n_own < 1:
+        raise InconsistentInputsError(
+            "the vertex's own join factor must have at least one vertex"
+        )
     _expect_sum(other_graph_poly, n_other, "other factor's graph polynomial")
     x = DegreePoly.monomial
     return x(n_other) * vertex_poly + x(n_own) * other_graph_poly

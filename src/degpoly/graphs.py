@@ -81,7 +81,7 @@ class SimpleGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (i, j) with i < j, sorted lexicographically."""
         return tuple(
-            (u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v
+            (u, v) for u, row in enumerate(self.adj) for v in sorted(row) if v > u
         )
 
     @property
@@ -117,7 +117,9 @@ class SimpleGraph:
         return {
             "n": self.n,
             "labels": list(self.labels),
-            "edges": [list(e) for e in self.edges()],
+            "edges": [
+                [u, v] for u, row in enumerate(self.adj) for v in sorted(row) if v > u
+            ],
         }
 
 
@@ -435,12 +437,45 @@ def _encode(n: int, adj_masks: list[int], order: list[int]) -> tuple[tuple[int, 
     return tuple(sorted(relabeled))
 
 
+def _twin_automorphisms(n: int, adj_masks: list[int]) -> list[list[int]]:
+    """Transpositions of consecutive members of every twin class.
+
+    Open twins share ``adj_masks``; closed twins share it once their own bit
+    is added.  Swapping two twins is an automorphism, and the transpositions
+    of consecutive members generate every permutation of the class, also
+    after its first members have been individualized."""
+    autos = []
+    for own in (0, 1):  # 1 adds each vertex's own bit: closed twins
+        classes: dict[int, list[int]] = {}
+        for v in range(n):
+            classes.setdefault(adj_masks[v] | own << v, []).append(v)
+        for members in classes.values():
+            for a, b in zip(members, members[1:]):
+                gamma = list(range(n))
+                gamma[a], gamma[b] = b, a
+                autos.append(gamma)
+    return autos
+
+
 def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], ...]:
     """Canonical edge encoding from adjacency bitmasks.
 
     Degree partition refinement plus individualization backtracking; the
-    minimum edge encoding over all discrete refinements is taken, which is
-    labeling-invariant."""
+    minimum edge encoding over all leaves (discrete or homogeneous
+    partitions) is taken, which is labeling-invariant.
+
+    The tree is pruned by automorphisms: the twin swaps, plus every
+    gamma = best_order o order^-1 met at a leaf whose encoding equals the
+    best so far.  At a node whose individualized vertices are P, a child v
+    is skipped when it shares an orbit with a child already tried, under the
+    automorphisms found so far that fix every vertex of P.  Such an
+    automorphism maps the two child subtrees onto each other: refinement,
+    the target cell and the order of sub-cells depend only on structure, so
+    it maps every node's cells (as sets) to the matching node's cells, and
+    at a leaf the encoding depends only on those sets, since a homogeneous
+    cell's internal order does not change it.  The skipped subtree thus
+    holds the same leaf encodings as one already searched, and the minimum
+    is unchanged.  Until an automorphism is known no orbits are kept."""
     if n == 0:
         return ()
     by_degree: dict[int, list[int]] = {}
@@ -448,24 +483,51 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
         by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
     initial = [sorted(by_degree[d]) for d in sorted(by_degree)]
 
-    best: list[Optional[tuple]] = [None]
+    best: Optional[tuple] = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []  # seeded with the twin swaps at the first branching
 
-    def descend(cells: list[list[int]]) -> None:
+    def descend(cells: list[list[int]], fixed: list[int]) -> None:
+        nonlocal best, best_order, autos
         cells = _refine(adj_masks, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None or _cells_homogeneous(adj_masks, cells):
-            enc = _encode(n, adj_masks, [v for cell in cells for v in cell])
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
+            order = [v for cell in cells for v in cell]
+            enc = _encode(n, adj_masks, order)
+            if best is None or enc < best:
+                best, best_order = enc, order
+            elif enc == best:
+                gamma = [0] * n
+                for v, w in zip(order, best_order):
+                    gamma[v] = w
+                autos.append(gamma)
             return
+        if not fixed:
+            autos = _twin_automorphisms(n, adj_masks)
         cell = cells[target]
+        orbit: list[int] = []  # orbit representative of each vertex
+        used = 0  # automorphisms already merged into ``orbit``
+        tried: list[int] = []
         for v in cell:
+            if used < len(autos):
+                if not orbit:
+                    orbit = list(range(n))
+                for gamma in autos[used:]:
+                    if all(gamma[p] == p for p in fixed):
+                        for x, y in enumerate(gamma):
+                            a, b = orbit[x], orbit[y]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                used = len(autos)
+            if orbit and any(orbit[v] == orbit[t] for t in tried):
+                continue
             rest = [w for w in cell if w != v]
-            descend(cells[:target] + [[v], rest] + cells[target + 1 :])
+            descend(cells[:target] + [[v], rest] + cells[target + 1 :], fixed + [v])
+            tried.append(v)
 
-    descend(initial)
-    assert best[0] is not None
-    return best[0]
+    descend(initial, [])
+    assert best is not None
+    return best
 
 
 def canonical_form(g: SimpleGraph, max_n: int = CANONICAL_FORM_MAX_N) -> CanonicalForm:

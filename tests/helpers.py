@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Optional
 
 from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
 from degpoly.errors import (
@@ -16,7 +17,13 @@ from degpoly.errors import (
     SelfLoopError,
     ZeroOperandError,
 )
-from degpoly.graphs import EdgeListResult, OpKind
+from degpoly.graphs import (
+    EdgeListResult,
+    OpKind,
+    _cells_homogeneous,
+    _encode,
+    _refine,
+)
 from degpoly.poly import presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
@@ -56,6 +63,80 @@ def brute_min_mask(n: int, mask: int) -> int:
         if best is None or m < best:
             best = m
     return best
+
+
+def oracle_canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], ...]:
+    """``graphs.canonical_encoding`` without automorphism pruning: the
+    minimum ``_encode`` over every leaf of the individualization tree."""
+    if n == 0:
+        return ()
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
+    initial = [sorted(by_degree[d]) for d in sorted(by_degree)]
+
+    best: list[Optional[tuple]] = [None]
+
+    def descend(cells: list[list[int]]) -> None:
+        cells = _refine(adj_masks, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None or _cells_homogeneous(adj_masks, cells):
+            enc = _encode(n, adj_masks, [v for cell in cells for v in cell])
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            descend(cells[:target] + [[v], rest] + cells[target + 1 :])
+
+    descend(initial)
+    assert best[0] is not None
+    return best[0]
+
+
+def extends_to_automorphism(g: SimpleGraph, partial: dict[int, int]) -> bool:
+    """Whether some automorphism of g maps u to partial[u] for every key u:
+    plain backtracking over the other vertices in breadth-first order from
+    the keys, each mapped to a vertex of equal degree whose adjacency to the
+    vertices mapped so far agrees."""
+    mapping = dict(partial)
+    images = set(mapping.values())
+    if len(images) < len(mapping):
+        return False
+    if any(
+        (v in g.adj[u]) != (mapping[v] in g.adj[mapping[u]])
+        for u, v in itertools.combinations(mapping, 2)
+    ) or any(g.degree(u) != g.degree(w) for u, w in mapping.items()):
+        return False
+    dist = dict.fromkeys(mapping, 0)
+    queue = list(mapping)
+    for u in queue:
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    rest = sorted(
+        (u for u in range(g.n) if u not in mapping), key=lambda u: dist.get(u, g.n)
+    )
+
+    def extend(i: int) -> bool:
+        if i == len(rest):
+            return True
+        u = rest[i]
+        for w in range(g.n):
+            if w in images or g.degree(w) != g.degree(u):
+                continue
+            if all((v in g.adj[u]) == (mapping[v] in g.adj[w]) for v in mapping):
+                mapping[u] = w
+                images.add(w)
+                if extend(i + 1):
+                    return True
+                del mapping[u]
+                images.discard(w)
+        return False
+
+    return extend(0)
 
 
 def naive_vertex_poly(g: SimpleGraph, v: int) -> DegreePoly:

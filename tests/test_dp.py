@@ -240,6 +240,14 @@ class TestFormulas:
         assert join_formula(P("2x^2"), P("1"), 4, 1) == P("2x^3+x^4")
         with pytest.raises(InconsistentInputsError):
             join_formula(Z, P("4x^2"), 1, 5)
+        # an order-0 other factor leaves dp(u) as it is; an order-0 own one
+        # has no vertex u
+        assert join_formula(P("2x^2"), Z, 3, 0) == P("2x^2")
+        with pytest.raises(InconsistentInputsError):
+            join_formula(Z, P("2x^2"), 0, 3)
+        for g, h in ((empty_graph(0), complete_graph(3)), (complete_graph(3), empty_graph(0))):
+            chk = verify_operation("join", g, h)
+            assert chk.ok and chk.vertices_checked == 3
 
     def test_cartesian(self):
         assert cartesian_formula(P("x"), P("x"), 1, 1) == P("2x^2")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -41,8 +42,10 @@ from degpoly.graphs import FAMILY_MAX_N
 from helpers import (
     brute_min_mask,
     degree_multiset,
+    extends_to_automorphism,
     mask_graph,
     oracle_apply_operation,
+    oracle_canonical_encoding,
     oracle_from_edge_list,
     paw_graph,
 )
@@ -340,6 +343,110 @@ class TestOperationsAgainstOracle:
                 apply_operation(kind, g, second)
 
 
+def copies(k: int, h: SimpleGraph) -> SimpleGraph:
+    """k disjoint copies of h."""
+    return SimpleGraph.from_edges(
+        k * h.n, [(i * h.n + u, i * h.n + v) for i in range(k) for u, v in h.edges()]
+    )
+
+
+def cayley_z4_z4(steps) -> SimpleGraph:
+    """Cayley graph of Z4 x Z4, vertex (a, b) as 4a + b, on the steps and
+    their inverses."""
+    edges = [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4) for da, db in steps
+    ]
+    return SimpleGraph.from_edges(16, edges)
+
+
+def clebsch_graph() -> SimpleGraph:
+    """The folded 5-cube: 4-bit words, adjacent when they differ in one bit
+    or in all four."""
+    return SimpleGraph.from_edges(
+        16, [(x, x ^ s) for x in range(16) for s in (1, 2, 4, 8, 15)]
+    )
+
+
+def both_twin_kinds() -> SimpleGraph:
+    """Triangle 0-1-2 with pendants 3 and 4 on vertex 2, beside the 4-cycle
+    5-6-7-8: 0 and 1 are closed twins; 3 and 4, 5 and 7, 6 and 8 are open
+    twins."""
+    return SimpleGraph.from_edges(
+        9, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (5, 6), (6, 7), (7, 8), (8, 5)]
+    )
+
+
+def search_nodes(g: SimpleGraph) -> list[tuple[list[int], list[list[int]], list[int]]]:
+    """The nodes ``canonical_form(g)`` visits, in visiting order, as
+    (individualized prefix, refined cells, children searched).  A child's
+    cells are its parent's with the first non-singleton cell split into
+    [v] and the rest, which is how each call to ``_refine`` is placed."""
+    nodes = []
+    stack = []
+    real = graphs_mod._refine
+
+    def recording(adj_masks, cells):
+        refined = real(adj_masks, cells)
+        while stack:
+            parent = stack[-1]
+            target = next((i for i, c in enumerate(parent[1]) if len(c) > 1), None)
+            if target is not None and len(cells) == len(parent[1]) + 1:
+                v, cell = cells[target][0], parent[1][target]
+                split = [[v], [w for w in cell if w != v]]
+                if cells == parent[1][:target] + split + parent[1][target + 1 :]:
+                    parent[2].append(v)
+                    break
+            stack.pop()
+        prefix = stack[-1][0] + [stack[-1][2][-1]] if stack else []
+        stack.append((prefix, refined, []))
+        nodes.append(stack[-1])
+        return refined
+
+    with mock.patch.object(graphs_mod, "_refine", recording):
+        canonical_form(g)
+    return nodes
+
+
+def unsearched_stabilizer_orbit(g: SimpleGraph):
+    """The pruning rule's condition: at a node with prefix P, a child is
+    skipped only for an automorphism fixing P, so every orbit of P's
+    pointwise stabilizer in the target cell keeps a searched child.  Returns
+    (prefix, vertex) for a vertex whose orbit has none, else None."""
+    for prefix, cells, children in search_nodes(g):
+        if not children:
+            continue
+        fixed = {p: p for p in prefix}
+        for v in next(c for c in cells if len(c) > 1):
+            if not any(extends_to_automorphism(g, {**fixed, c: v}) for c in children):
+                return prefix, v
+    return None
+
+
+def encodings(g: SimpleGraph) -> tuple:
+    masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    return graphs_mod.canonical_encoding(g.n, masks), oracle_canonical_encoding(g.n, masks)
+
+
+# Order-16 graphs with large automorphism groups, the slowest inside the
+# canonical-form bound for the unpruned search; Shrikhande is K4 x K4's
+# cospectral mate.
+SYMMETRIC_16 = {
+    "8K2": copies(8, complete_graph(2)),
+    "co-8K2": complement(copies(8, complete_graph(2))),
+    "5K3": copies(5, complete_graph(3)),
+    "4C4": copies(4, cycle_graph(4)),
+    "K4xK4": cartesian_product(complete_graph(4), complete_graph(4)),
+    "Shrikhande": cayley_z4_z4([(1, 0), (0, 1), (1, 1)]),
+    "Clebsch": clebsch_graph(),
+}
+# A labeling of the Shrikhande graph under which pruning with automorphisms
+# that move the prefix would skip an orbit of the prefix's stabilizer: the
+# stabilizer of a vertex splits its nine non-neighbours, which refinement
+# keeps in one cell.
+SHRIKHANDE_LABELING = [10, 14, 5, 1, 9, 2, 3, 11, 13, 7, 8, 4, 0, 6, 15, 12]
+
+
 class TestCanonicalForm:
     def test_triangle_all_labelings(self):
         tri = complete_graph(3)
@@ -412,6 +519,58 @@ class TestCanonicalForm:
         with pytest.raises(TooLargeError):
             canonical_form(empty_graph(20))
         assert canonical_form(empty_graph(20), max_n=20).n == 20
+
+    def test_pruned_equals_unpruned_exhaustive(self):
+        for n in range(6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                pruned, unpruned = encodings(mask_graph(n, mask))
+                assert pruned == unpruned, (n, mask)
+
+    @given(graphs_st(max_n=10))
+    @example(copies(5, complete_graph(2)))
+    @example(copies(3, complete_graph(3)))
+    @example(cycle_graph(10))
+    @example(complement(cycle_graph(10)))
+    @example(complete_bipartite_graph(4, 3))
+    @example(cartesian_product(complete_graph(3), complete_graph(2)))
+    @example(both_twin_kinds())
+    @example(join(complete_graph(2), empty_graph(3)))
+    # a 4-regular graph on which a leaf encoding above the best, taken for
+    # an automorphism, prunes the subtree that holds the minimum
+    @example(SimpleGraph.from_edges(8, [
+        (0, 2), (0, 4), (0, 5), (0, 7), (1, 3), (1, 4), (1, 5), (1, 6),
+        (2, 3), (2, 5), (2, 6), (3, 5), (3, 7), (4, 6), (4, 7), (6, 7),
+    ]))
+    def test_pruned_equals_unpruned(self, g):
+        pruned, unpruned = encodings(g)
+        assert pruned == unpruned
+
+    @pytest.mark.parametrize("name", SYMMETRIC_16)
+    def test_order_16_within_a_second(self, name):
+        g = SYMMETRIC_16[name]
+        start = time.perf_counter()
+        form = canonical_form(g)
+        assert time.perf_counter() - start < 1.0
+        perm = list(range(g.n))
+        random.Random(name).shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == form
+
+    def test_search_nodes_on_6k2(self):
+        # Without automorphism pruning this search has 29,893 nodes.
+        assert len(search_nodes(copies(6, complete_graph(2)))) <= 41
+
+    def test_every_stabilizer_orbit_is_searched_exhaustive(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                assert unsearched_stabilizer_orbit(mask_graph(n, mask)) is None, (n, mask)
+
+    @pytest.mark.parametrize("name", [*SYMMETRIC_16, "Shrikhande relabeled"])
+    def test_every_stabilizer_orbit_is_searched(self, name):
+        if name in SYMMETRIC_16:
+            g = SYMMETRIC_16[name]
+        else:
+            g = SYMMETRIC_16["Shrikhande"].relabel(SHRIKHANDE_LABELING)
+        assert unsearched_stabilizer_orbit(g) is None
 
 
 class TestRelabel:
