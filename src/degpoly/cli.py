@@ -164,7 +164,7 @@ def _load_entries(arg: str) -> list[DegreePoly]:
     if text.startswith("["):
         try:
             return [DegreePoly.from_pairs(entry) for entry in json.loads(text)]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise DegpolyError(f"bad structured sequence: {exc}") from None
     return dp_mod.parse_entries(text)
 

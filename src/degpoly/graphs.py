@@ -530,10 +530,12 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
     return best
 
 
-def canonical_form(g: SimpleGraph, max_n: int = CANONICAL_FORM_MAX_N) -> CanonicalForm:
+def canonical_form(g: SimpleGraph) -> CanonicalForm:
     """Exact canonical form: equal results iff the graphs are isomorphic."""
-    if g.n > max_n:
-        raise TooLargeError(f"canonical form limited to n <= {max_n}, got {g.n}")
+    if g.n > CANONICAL_FORM_MAX_N:
+        raise TooLargeError(
+            f"canonical form limited to n <= {CANONICAL_FORM_MAX_N}, got {g.n}"
+        )
     adj_masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
     return CanonicalForm(g.n, canonical_encoding(g.n, adj_masks))
 

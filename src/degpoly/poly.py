@@ -364,7 +364,8 @@ def format_poly(poly: DegreePoly) -> str:
 
 def parse_poly(text: str) -> DegreePoly:
     """Parse the text syntax: terms like ``2x^2``, ``x``, ``7`` joined by
-    ``+``; whitespace is ignored; ``0`` is the zero polynomial."""
+    ``+``; numbers are ASCII digits; whitespace is ignored; ``0`` is the
+    zero polynomial."""
     i, n = 0, len(text)
 
     def skip_ws(i: int) -> int:
@@ -374,7 +375,7 @@ def parse_poly(text: str) -> DegreePoly:
 
     def read_int(i: int) -> tuple[int, int]:
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             i += 1
         if i == start:
             raise PolyParseError("expected a number", start)
@@ -389,7 +390,7 @@ def parse_poly(text: str) -> DegreePoly:
         if i < n and text[i] in "-−":
             raise NegativeValueError("negative values are not allowed", i)
         coefficient = 1
-        has_coeff = i < n and text[i].isdigit()
+        has_coeff = i < n and "0" <= text[i] <= "9"
         if has_coeff:
             coefficient, i = read_int(i)
         i = skip_ws(i)

@@ -26,9 +26,8 @@ of once per labeling.  Work can be partitioned across processes by vertex
 ``first_row``).  A witness is reported by its canonical form, and all
 witnesses come sorted by canonical edges, so merging the units in payload
 order decides only which class a first-witness search reports; reports are
-byte-identical for any worker count.  The labeled enumerators
-(``iter_labeled_graphs`` and friends) count labeled graphs and so still
-visit every assignment and every row.
+byte-identical for any worker count.  ``iter_labeled_graphs`` counts
+labeled graphs and so still visits every assignment and every row.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import itertools
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .dp import PolySequence, degree_polynomial_sequence
 from .errors import (
@@ -47,13 +46,17 @@ from .errors import (
     WitnessVerificationError,
     ZeroEntryError,
 )
-from .graphs import CanonicalForm, SimpleGraph, canonical_encoding, canonical_form
+from .graphs import (
+    CANONICAL_FORM_MAX_N,
+    CanonicalForm,
+    SimpleGraph,
+    canonical_encoding,
+    canonical_form,
+)
 from .poly import DegreePoly, coeff_stats, coeff_sum
 
 DEFAULT_SEARCH_MAX_N = 9
 CLASSIFY_MAX_N = 8
-
-SeqLike = Union[PolySequence, Iterable[DegreePoly]]
 
 
 # -- integer degree sequences ----------------------------------------------------
@@ -66,11 +69,10 @@ def _require_sorted(d: Sequence[int]) -> None:
         raise ValueError("degrees must be nonnegative")
 
 
-def degree_projection(seq: SeqLike) -> tuple[int, ...]:
+def degree_projection(seq: Iterable[DegreePoly]) -> tuple[int, ...]:
     """Coefficient sum of each entry, re-sorted non-increasingly."""
-    entries = seq.entries if isinstance(seq, PolySequence) else tuple(seq)
     sums = []
-    for p in entries:
+    for p in seq:
         if p.is_zero:
             raise ZeroEntryError("projection is undefined for zero entries")
         sums.append(coeff_sum(p))
@@ -325,33 +327,6 @@ def iter_labeled_graphs(
             yield _adj_edges(adj)
 
 
-def count_labeled_graphs(degrees: Sequence[int]) -> int:
-    return sum(1 for _ in iter_labeled_graphs(degrees))
-
-
-def any_graph_exists(degrees: Sequence[int]) -> bool:
-    """Brute-force existence: does any labeled graph realize ``degrees``?"""
-    for _ in iter_labeled_graphs(degrees):
-        return True
-    return False
-
-
-def iter_graphs_without_isolated_vertices(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Every labeled simple graph on n vertices with minimum degree >= 1,
-    exactly once, as (degree vector, edge tuple) pairs.  This is the
-    enumeration backing classification and the soundness sweeps."""
-    if n > CLASSIFY_MAX_N:
-        raise TooLargeError(
-            f"enumeration limited to n <= {CLASSIFY_MAX_N}, got {n}"
-        )
-    for d in _graphical_positive_multisets(n):
-        for assignment in _distinct_assignments(d):
-            for adj in _iter_adj(assignment):
-                yield assignment, _adj_edges(adj)
-
-
 def _graphical_positive_multisets(n: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing all-positive graphical degree multisets of length n,
     in descending lexicographic order."""
@@ -436,7 +411,7 @@ class ConditionReport:
         }
 
 
-def necessary_conditions(seq: SeqLike) -> ConditionReport:
+def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
     """Check the three sequence-level necessary conditions.
 
     (a) the coefficient sums add to an even total;
@@ -449,18 +424,12 @@ def necessary_conditions(seq: SeqLike) -> ConditionReport:
 
     The integer projection is additionally tested for graphicality.
     """
-    if isinstance(seq, PolySequence):
-        input_was_sorted = True
-    else:
-        raw = tuple(seq)
-        seq = PolySequence.from_polys(raw)
-        input_was_sorted = raw == seq.entries
+    raw = tuple(seq)
+    seq = PolySequence.from_polys(raw)
+    input_was_sorted = raw == seq.entries
     entries = seq.entries
     if not entries:
         raise ZeroEntryError("cannot check an empty sequence")
-    for p in entries:
-        if p.is_zero:
-            raise ZeroEntryError("sequences cannot contain zero entries")
 
     sums = [coeff_sum(p) for p in entries]
     total = sum(sums)
@@ -595,26 +564,25 @@ def _realize_task(payload) -> list[CanonicalForm]:
 
 
 def realize(
-    seq: SeqLike,
+    seq: Iterable[DegreePoly],
     *,
     max_n: int = DEFAULT_SEARCH_MAX_N,
-    skip_conditions: bool = False,
     want_all_witnesses: bool = True,
     workers: int = 1,
 ) -> RealizabilityReport:
     """Decide realizability of a polynomial sequence.
 
     Pipeline: necessary conditions, on the entries in the order given (so
-    the report says whether they came presented); if any fails (and
-    conditions are not skipped) the sequence is unrealizable with the
-    failing condition cited.  Otherwise the labeled graphs on the
-    non-increasing projected degree assignment whose vertex polynomials are
-    owed by the sequence are enumerated, each vertex checked as soon as its
-    neighbourhood is final; they are deduplicated up to isomorphism and
-    reported by canonical form (all witnesses sorted by canonical edges, or
-    the first one met), and the report states whether the search was
-    exhaustive.  Sequences longer than ``max_n`` are not searched; the
-    report then stays honestly inconclusive instead of sampling.
+    the report says whether they came presented); if any fails the
+    sequence is unrealizable with the failing condition cited.  Otherwise
+    the labeled graphs on the non-increasing projected degree assignment
+    whose vertex polynomials are owed by the sequence are enumerated, each
+    vertex checked as soon as its neighbourhood is final; they are
+    deduplicated up to isomorphism and reported by canonical form (all
+    witnesses sorted by canonical edges, or the first one met), and the
+    report states whether the search was exhaustive.  Sequences longer than ``max_n``, or than the canonical-form
+    bound ``CANONICAL_FORM_MAX_N`` that witnesses need, are not searched;
+    the report then stays honestly inconclusive instead of sampling.
     """
     _check_workers(workers)
     conditions = necessary_conditions(seq)
@@ -632,7 +600,7 @@ def realize(
             reason=reason,
         )
 
-    if not skip_conditions and not conditions.all_pass:
+    if not conditions.all_pass:
         failed = conditions.first_failure()
         what = (
             "projection is not graphical"
@@ -641,9 +609,10 @@ def realize(
         )
         return report(False, False, (), False, what)
 
-    if n > max_n:
+    bound = min(max_n, CANONICAL_FORM_MAX_N)
+    if n > bound:
         return report(
-            False, False, (), None, f"order {n} exceeds the search bound {max_n}"
+            False, False, (), None, f"order {n} exceeds the search bound {bound}"
         )
 
     # Work units are vertex 0's twin-prefix rows, in the order the search

@@ -303,6 +303,16 @@ def oracle_apply_operation(op, g: SimpleGraph, h: SimpleGraph = None) -> SimpleG
     return SimpleGraph.from_edges(g.n * n2, edges, labels)
 
 
+def labeled_graph_count(degrees) -> int:
+    """How many labeled graphs have the degree multiset ``degrees``."""
+    return sum(1 for _ in iter_labeled_graphs(degrees))
+
+
+def labeled_graph_exists(degrees) -> bool:
+    """Brute-force existence: does any labeled graph realize ``degrees``?"""
+    return next(iter_labeled_graphs(degrees), None) is not None
+
+
 def oracle_realize(
     seq: PolySequence, want_all_witnesses: bool = True
 ) -> RealizabilityReport:

@@ -16,7 +16,6 @@ from degpoly import (
     OpKind,
     PolySequence,
     SimpleGraph,
-    any_graph_exists,
     basic_facts,
     closed_form_sequence,
     coeff_stats,
@@ -39,7 +38,14 @@ from degpoly import (
     verify_operation,
 )
 from degpoly.realizability import _adj_edges, _graphical_positive_multisets, _iter_adj
-from helpers import degree_multiset, dp_multiset, paw_graph, mask_graph, vertex_zero_units
+from helpers import (
+    degree_multiset,
+    dp_multiset,
+    labeled_graph_exists,
+    mask_graph,
+    paw_graph,
+    vertex_zero_units,
+)
 
 P = parse_poly
 
@@ -197,7 +203,7 @@ def test_criterion_9_oracle_agreement():
                 eg = erdos_gallai(d)
                 assert not eg or basic_facts(d).all_hold, d
                 hh, witness = havel_hakimi(d)
-                bf = any_graph_exists(d)
+                bf = labeled_graph_exists(d)
                 if not (eg == hh == bf):
                     disagreements += 1
                 elif hh:

@@ -235,12 +235,21 @@ class TestRealize:
             pytest.param("[[[1,1,1]]]", id="term-of-three"),
             pytest.param("[[[1.5,1]]]", id="float-exponent"),
             pytest.param("[[[true,1]]]", id="boolean-exponent"),
+            pytest.param("[" * 100000, id="nested-too-deep"),
         ],
     )
     def test_bad_structured_sequence(self, capsys, command, text):
         code, _, err = run(capsys, command, text)
         assert code == 1
         assert err.startswith("error: DegpolyError: bad structured sequence:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["realize", "check"])
+    @pytest.mark.parametrize("text", ["x^²", "²x", "٣x"])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, command, text):
+        code, out, err = run(capsys, command, text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: PolyParseError: ")
         assert "Traceback" not in err
 
     def test_dot_witnesses(self, capsys):
@@ -253,6 +262,17 @@ class TestRealize:
         code, out, _ = run(capsys, "realize", "2x^2, 2x^2, 2x^2, 2x^2, 2x^2")
         assert code == 0
         assert "exceeds the search bound 4" in out
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_bound_above_canonical_form_bound_is_inconclusive(self, capsys, monkeypatch, via_env):
+        argv = ["realize", ", ".join(["2x^2"] * 17)]
+        if via_env:
+            monkeypatch.setenv("DEGPOLY_MAX_N", "17")
+        else:
+            argv += ["--max-n", "17"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.endswith("verdict: order 17 exceeds the search bound 16\n")
 
     @pytest.mark.parametrize("value", ["-1", "two"])
     def test_bad_env_bound_exits_one(self, capsys, monkeypatch, value):

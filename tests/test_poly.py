@@ -326,6 +326,12 @@ class TestTextFormat:
             parse_poly("")
         with pytest.raises(PolyParseError):
             parse_poly("x+")
+        # Numbers are ASCII digits only: a superscript or Arabic-Indic
+        # digit is no number.
+        for text, position in (("x^²", 2), ("²x", 0), ("٣x", 0)):
+            with pytest.raises(PolyParseError) as exc:
+                parse_poly(text)
+            assert exc.value.position == position
 
     @given(nonzero_polys)
     def test_roundtrip(self, f):

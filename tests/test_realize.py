@@ -14,16 +14,13 @@ from degpoly import (
     DegreePoly,
     PolySequence,
     SimpleGraph,
-    any_graph_exists,
     basic_facts,
     canonical_form,
     classify_all,
-    count_labeled_graphs,
     degree_polynomial_sequence,
     degree_projection,
     erdos_gallai,
     havel_hakimi,
-    iter_graphs_without_isolated_vertices,
     iter_labeled_graphs,
     necessary_conditions,
     parse_poly,
@@ -41,6 +38,8 @@ from degpoly.errors import (
 from helpers import (
     all_graphs,
     degree_multiset,
+    labeled_graph_count,
+    labeled_graph_exists,
     mask_graph,
     oracle_realize,
     paw_graph,
@@ -67,6 +66,8 @@ class TestProjection:
         assert degree_projection(S1) == (2, 1, 1, 1, 1)
         assert degree_projection([P("2x^2")] * 5) == (2, 2, 2, 2, 2)
         assert degree_projection(SEQ_TWO_REALIZATIONS) == (3, 3, 2, 2, 2, 2)
+        for seq in (S1, S4, SEQ_TWO_REALIZATIONS):
+            assert degree_projection(seq) == degree_projection(list(seq.entries))
 
     def test_zero_entry(self):
         with pytest.raises(ZeroEntryError):
@@ -128,9 +129,9 @@ class TestHavelHakimi:
 
 class TestEnumeration:
     def test_fixture_counts(self):
-        assert count_labeled_graphs((2, 2, 2)) == 1
-        assert count_labeled_graphs((1, 1)) == 1
-        assert count_labeled_graphs((2, 1, 1)) == 3
+        assert labeled_graph_count((2, 2, 2)) == 1
+        assert labeled_graph_count((1, 1)) == 1
+        assert labeled_graph_count((2, 1, 1)) == 3
 
     def test_against_exhaustive_bitmask_oracle(self):
         # Independent oracle: scan all 2^(n choose 2) graphs and bucket them
@@ -154,9 +155,9 @@ class TestEnumeration:
 
     def test_bound_and_sortedness(self):
         with pytest.raises(TooLargeError):
-            count_labeled_graphs((1,) * 10)
+            labeled_graph_count((1,) * 10)
         with pytest.raises(NotSortedError):
-            count_labeled_graphs((1, 2, 1))
+            labeled_graph_count((1, 2, 1))
 
     def test_three_oracles_agree_small(self):
         # Erdos-Gallai, Havel-Hakimi and brute-force existence, pairwise,
@@ -165,25 +166,10 @@ class TestEnumeration:
             for d in itertools.combinations_with_replacement(range(4, -1, -1), n):
                 eg = erdos_gallai(d)
                 hh, witness = havel_hakimi(d)
-                bf = any_graph_exists(d)
+                bf = labeled_graph_exists(d)
                 assert eg == hh == bf, d
                 if hh:
                     assert degree_multiset(witness) == d
-
-    def test_isolated_free_enumerator(self):
-        seen = set()
-        count = 0
-        for degs, edges in iter_graphs_without_isolated_vertices(4):
-            assert min(degs) >= 1
-            assert edges not in seen or degs not in seen
-            seen.add((degs, edges))
-            count += 1
-        # independent count: all labeled graphs on 4 vertices minus those
-        # with an isolated vertex (inclusion-exclusion gives 41)
-        brute = sum(
-            1 for g in all_graphs(4) if not g.isolated_vertices()
-        )
-        assert count == brute == 41
 
 
 class TestTwinPrefixRows:
@@ -250,6 +236,9 @@ class TestNecessaryConditions:
         rep = necessary_conditions([P("x"), P("2x")])
         assert not rep.input_was_sorted
         assert necessary_conditions([P("2x"), P("x")]).input_was_sorted
+        for seq in (S1, S2, S3, S4):
+            as_list = necessary_conditions(list(seq.entries))
+            assert necessary_conditions(seq).to_dict() == as_list.to_dict()
 
     def test_zero_entry(self):
         with pytest.raises(ZeroEntryError):
@@ -304,15 +293,15 @@ class TestRealize:
         rep = realize(PolySequence.from_polys([P("2x^2")] * 5), max_n=4)
         assert not rep.searched and rep.realizable is None
 
+    def test_search_bound_stops_at_the_canonical_form_bound(self):
+        rep = realize([P("2x^2")] * 17, max_n=17, want_all_witnesses=False)
+        assert not rep.searched and rep.realizable is None
+        assert rep.reason == "order 17 exceeds the search bound 16"
+
     def test_early_stop(self):
         rep = realize(PolySequence.from_polys([P("x"), P("x")]), want_all_witnesses=False)
         assert rep.nonisomorphic_count == 1
         assert not rep.exhaustive
-
-    def test_skip_conditions_still_searches(self):
-        rep = realize(S1, skip_conditions=True)
-        assert rep.searched and rep.exhaustive
-        assert rep.nonisomorphic_count == 0 and rep.realizable is False
 
     def test_deterministic_reports(self):
         a = json.dumps(realize(SEQ_TWO_REALIZATIONS).to_dict())
