@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -33,8 +32,6 @@ from .poly import DegreePoly, format_poly
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-ENV_MAX_N = "DEGPOLY_MAX_N"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,23 +58,9 @@ def _int_at_least(low: int):
     return convert
 
 
-def _default_max_n(parser: argparse.ArgumentParser) -> int:
-    """The search bound from ``DEGPOLY_MAX_N``, checked like ``--max-n``."""
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return realize_mod.DEFAULT_SEARCH_MAX_N
-    try:
-        return _int_at_least(0)(raw)
-    except ValueError:
-        parser.error(f"{ENV_MAX_N}: invalid int value: {raw!r}")
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"{ENV_MAX_N}: {exc}")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing does not change
-    it, and ``main`` reads ``DEGPOLY_MAX_N`` on every call."""
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="degpoly", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format",
@@ -116,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize = sub.add_parser("realize", help="exhaustive realizability search")
     p_realize.add_argument("sequence", help="sequence file path or inline sequence")
     p_realize.add_argument(
-        "--max-n", type=_int_at_least(0), default=None, help="search bound"
+        "--max-n",
+        type=_int_at_least(0),
+        default=realize_mod.DEFAULT_SEARCH_MAX_N,
+        help="search bound",
     )
     p_realize.add_argument(
         "--all",
@@ -344,8 +330,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "realize" and args.max_n is None:
-            args.max_n = _default_max_n(parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

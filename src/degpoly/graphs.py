@@ -72,12 +72,6 @@ class SimpleGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.adj)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (i, j) with i < j, sorted lexicographically."""
         return tuple(
@@ -374,6 +368,14 @@ class CanonicalForm:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def graph(self) -> SimpleGraph:
+        """The graph on vertices 0..n-1 with exactly these edges."""
+        return SimpleGraph.from_edges(self.n, self.edges)
+
+    def to_dict(self) -> dict:
+        """Structured encoding: order and the canonical edge list."""
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
 def _refine(adj_masks: list[int], cells: list[list[int]]) -> list[list[int]]:

@@ -1,8 +1,10 @@
 """Exact sparse polynomials with nonnegative integer coefficients.
 
-A polynomial is stored as a map from exponent to coefficient with no zero
-coefficients kept (the zero polynomial is the empty map), so equality is
-plain term-map equality and all arithmetic is exact integer arithmetic.
+A polynomial is stored as its (exponent, coefficient) pairs in descending
+exponent order with no zero coefficients kept (the zero polynomial has no
+pairs), so equality is plain pair-tuple equality, and all arithmetic is
+exact integer arithmetic.  The coefficient sum is stored beside the pairs,
+since the presentation order reads it first on every comparison.
 
 The module also carries the comparison used to present degree-polynomial
 sequences non-increasingly, the tensor product (which multiplies exponents
@@ -31,10 +33,10 @@ class DegreePoly:
     """Sparse univariate polynomial over the nonnegative integers.
 
     Instances are immutable value objects: hashable, comparable for
-    equality by their term maps, and safe to share between workers.
+    equality by their terms, and safe to share between workers.
     """
 
-    __slots__ = ("_terms", "_pairs")
+    __slots__ = ("_pairs", "_total")
 
     def __init__(self, terms: TermsLike = None):
         acc: dict[int, int] = {}
@@ -50,9 +52,9 @@ class DegreePoly:
                 if coefficient == 0:
                     continue
                 acc[exponent] = acc.get(exponent, 0) + coefficient
-        self._terms = acc
         # Descending-exponent pairs: canonical identity used for eq/hash.
         self._pairs = tuple(sorted(acc.items(), reverse=True))
+        self._total = sum(acc.values())
 
     # -- construction helpers ------------------------------------------------
 
@@ -63,10 +65,6 @@ class DegreePoly:
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "DegreePoly":
         return cls({exponent: coefficient})
-
-    @classmethod
-    def constant(cls, value: int) -> "DegreePoly":
-        return cls({0: value})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "DegreePoly":
@@ -81,7 +79,7 @@ class DegreePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._pairs
 
     @property
     def degree(self) -> int:
@@ -90,14 +88,17 @@ class DegreePoly:
         return self._pairs[0][0]
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        for e, c in self._pairs:
+            if e == exponent:
+                return c
+        return 0
 
     def support(self) -> tuple[int, ...]:
         """Exponents with nonzero coefficient, descending."""
         return tuple(e for e, _ in self._pairs)
 
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        return dict(self._pairs)
 
     def to_pairs(self) -> list[list[int]]:
         """Structured encoding: [exponent, coefficient] pairs, descending."""
@@ -110,7 +111,7 @@ class DegreePoly:
         return len(self._pairs)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreePoly):
@@ -125,16 +126,13 @@ class DegreePoly:
     def __add__(self, other: "DegreePoly") -> "DegreePoly":
         if not isinstance(other, DegreePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return DegreePoly(out)
+        return DegreePoly(self._pairs + other._pairs)
 
     def __sub__(self, other: "DegreePoly") -> "DegreePoly":
         if not isinstance(other, DegreePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
+        out = dict(self._pairs)
+        for e, c in other._pairs:
             new = out.get(e, 0) - c
             if new < 0:
                 raise NegativeCoefficientError(
@@ -147,8 +145,8 @@ class DegreePoly:
         if not isinstance(other, DegreePoly):
             return NotImplemented
         out: dict[int, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
+        for ea, ca in self._pairs:
+            for eb, cb in other._pairs:
                 e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
         return DegreePoly(out)
@@ -190,7 +188,7 @@ def coeff_stats(poly: DegreePoly) -> CoeffStats:
 
 def coeff_sum(poly: DegreePoly) -> int:
     """Sum of all coefficients (0 for the zero polynomial)."""
-    return sum(poly._terms.values())
+    return poly._total
 
 
 # -- the sequence-presentation order ------------------------------------------
@@ -216,7 +214,7 @@ def compare_polys(f: DegreePoly, g: DegreePoly) -> int:
     """
     if f.is_zero or g.is_zero:
         raise ZeroOperandError("comparison is undefined for the zero polynomial")
-    sf, sg = sum(f._terms.values()), sum(g._terms.values())
+    sf, sg = f._total, g._total
     if sf != sg:
         return LESS if sf < sg else GREATER
     fp, gp = f._pairs, g._pairs
@@ -251,7 +249,7 @@ def presentation_key(poly: DegreePoly) -> tuple:
     for :func:`sort_polys_desc`; it orders by coefficient sum, then by the
     coefficient vector read from the highest exponent down.
     """
-    return (sum(poly._terms.values()), poly._pairs)
+    return (poly._total, poly._pairs)
 
 
 def sort_polys_desc(polys: Iterable[DegreePoly]) -> list[DegreePoly]:
@@ -379,7 +377,12 @@ def parse_poly(text: str) -> DegreePoly:
             i += 1
         if i == start:
             raise PolyParseError("expected a number", start)
-        return int(text[start:i]), i
+        try:
+            return int(text[start:i]), i
+        except ValueError:  # past the interpreter's integer-string digit limit
+            raise PolyParseError(
+                f"number of {i - start} digits is too long", start
+            ) from None
 
     terms: list[tuple[int, int]] = []
     i = skip_ws(i)

@@ -33,6 +33,7 @@ labeled graphs and so still visits every assignment and every row.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
@@ -131,16 +132,24 @@ def erdos_gallai(d: Sequence[int]) -> bool:
 
     The j = n inequality is included so single-entry sequences like (2,)
     are rejected; it is implied by the others whenever some d_i <= n-1.
+
+    Linear time: the entries >= j are a prefix d[:big] of the sorted
+    sequence, so past index j each of them adds j to the right side and the
+    rest add their suffix sum.
     """
     _require_sorted(d)
     n = len(d)
     if sum(d) % 2:
         return False
+    suffix = list(itertools.accumulate(reversed(d), initial=0))[::-1]
     prefix = 0
+    big = n
     for j in range(1, n + 1):
         prefix += d[j - 1]
-        rhs = j * (j - 1) + sum(min(j, d[k]) for k in range(j, n))
-        if prefix > rhs:
+        while big and d[big - 1] < j:
+            big -= 1
+        split = max(j, big)
+        if prefix > j * (j - 1) + j * (split - j) + suffix[split]:
             return False
     return True
 
@@ -479,30 +488,12 @@ def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """One isomorphism class realizing the target sequence, reported by
-    its canonical form."""
-
-    canonical: CanonicalForm
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.canonical.edges
-
-    def graph(self) -> SimpleGraph:
-        return SimpleGraph.from_edges(self.canonical.n, self.edges)
-
-    def to_dict(self) -> dict:
-        return {"n": self.canonical.n, "edges": [list(e) for e in self.edges]}
-
-
-@dataclass(frozen=True)
 class RealizabilityReport:
     sequence: PolySequence
     conditions: ConditionReport
     searched: bool
     exhaustive: bool
-    witnesses: tuple[Witness, ...]
+    witnesses: tuple[CanonicalForm, ...]
     realizable: Optional[bool]
     reason: str
 
@@ -541,7 +532,9 @@ def _ordered_map(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
         return
     from multiprocessing import Pool
 
-    with Pool(workers) as pool:
+    # More processes than CPUs only add start-up cost and memory; results
+    # are identical for any count.
+    with Pool(min(workers, os.cpu_count() or 1)) as pool:
         yield from pool.imap(fn, payloads)
 
 
@@ -632,22 +625,21 @@ def realize(
         else:
             forms = list(itertools.islice(forms, 1))
     exhaustive = want_all_witnesses or not forms
-    witnesses = [Witness(form) for form in forms]
 
     # Witness fidelity: re-derive each witness's sequence through the
     # public path and insist it matches the target.
-    for w in witnesses:
+    for w in forms:
         regenerated = degree_polynomial_sequence(w.graph())
         if regenerated.multiset() != seq.multiset():
             raise WitnessVerificationError(
                 f"witness {list(w.edges)} has sequence {regenerated}, not {seq}"
             )
 
-    if witnesses:
-        reason = f"{len(witnesses)} non-isomorphic realization(s) found"
+    if forms:
+        reason = f"{len(forms)} non-isomorphic realization(s) found"
     else:
         reason = "exhaustive search found no realization"
-    return report(True, exhaustive, witnesses, bool(witnesses), reason)
+    return report(True, exhaustive, forms, bool(forms), reason)
 
 
 # -- classification of all sequences at a fixed order ----------------------------------

@@ -27,7 +27,6 @@ from degpoly.graphs import (
 from degpoly.poly import presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
-    Witness,
     _twin_prefix_rows,
     degree_projection,
     iter_labeled_graphs,
@@ -197,6 +196,43 @@ def oracle_compare_polys(f: DegreePoly, g: DegreePoly) -> int:
     raise AssertionError("distinct polynomials with identical terms")
 
 
+def model_terms(items) -> dict[int, int]:
+    """A plain exponent -> coefficient dict model of ``DegreePoly``: equal
+    exponents accumulate and zero coefficients are dropped."""
+    out: dict[int, int] = {}
+    for e, c in items:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def model_sub(a: dict[int, int], b: dict[int, int]) -> Optional[dict[int, int]]:
+    """``a - b`` in the dict model, or None if a coefficient goes negative."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) - c
+    if any(c < 0 for c in out.values()):
+        return None
+    return model_terms(out.items())
+
+
+def model_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    return model_terms((ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items())
+
+
+def oracle_erdos_gallai(d) -> bool:
+    """Erdos-Gallai on a non-increasing sequence straight from the
+    inequalities, summing each right side afresh (quadratic time)."""
+    n = len(d)
+    if sum(d) % 2:
+        return False
+    prefix = 0
+    for j in range(1, n + 1):
+        prefix += d[j - 1]
+        if prefix > j * (j - 1) + sum(min(j, d[k]) for k in range(j, n)):
+            return False
+    return True
+
+
 def oracle_sort_polys_desc(polys) -> list[DegreePoly]:
     """The presentation rule straight from its definition: arrange by
     ``presentation_key`` descending, then insert each polynomial before the
@@ -342,5 +378,5 @@ def oracle_realize(
         reason = "exhaustive search found no realization"
     return RealizabilityReport(
         seq, conditions, True, want_all_witnesses or not forms,
-        tuple(Witness(form) for form in forms), bool(forms), reason,
+        tuple(forms), bool(forms), reason,
     )

@@ -252,35 +252,31 @@ class TestRealize:
         assert err.startswith("error: PolyParseError: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["realize", "check"])
+    @pytest.mark.parametrize(
+        "text", ["x^" + "9" * 5000, "9" * 5000 + "x"], ids=["exponent", "coefficient"]
+    )
+    def test_digit_run_past_int_limit_is_a_parse_error(self, capsys, command, text):
+        code, out, err = run(capsys, command, text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: PolyParseError: ")
+        assert "Traceback" not in err
+
     def test_dot_witnesses(self, capsys):
         code, out, _ = run(capsys, "realize", "x, x", "--all", "--dot")
         assert code == 0
         assert 'graph {' in out
 
-    def test_env_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEGPOLY_MAX_N", "4")
-        code, out, _ = run(capsys, "realize", "2x^2, 2x^2, 2x^2, 2x^2, 2x^2")
+    def test_flag_bound(self, capsys):
+        code, out, _ = run(capsys, "realize", "2x^2, 2x^2, 2x^2, 2x^2, 2x^2", "--max-n", "4")
         assert code == 0
         assert "exceeds the search bound 4" in out
 
-    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-    def test_bound_above_canonical_form_bound_is_inconclusive(self, capsys, monkeypatch, via_env):
-        argv = ["realize", ", ".join(["2x^2"] * 17)]
-        if via_env:
-            monkeypatch.setenv("DEGPOLY_MAX_N", "17")
-        else:
-            argv += ["--max-n", "17"]
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("bound", [("--max-n", "17")], ids=["flag"])
+    def test_bound_above_canonical_form_bound_is_inconclusive(self, capsys, bound):
+        code, out, err = run(capsys, "realize", ", ".join(["2x^2"] * 17), *bound)
         assert code == 0 and err == ""
         assert out.endswith("verdict: order 17 exceeds the search bound 16\n")
-
-    @pytest.mark.parametrize("value", ["-1", "two"])
-    def test_bad_env_bound_exits_one(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("DEGPOLY_MAX_N", value)
-        code, out, err = run(capsys, "realize", "x, x")
-        assert code == 1
-        assert out == ""
-        assert "error: usage: DEGPOLY_MAX_N: " in err
 
     def test_structured_bytes_stable(self, capsys):
         args = ("--format", "structured", "realize", "2x^2, 2x, 2x, x, x", "--all")

@@ -28,7 +28,13 @@ from degpoly.errors import (
     ZeroOperandError,
 )
 from degpoly.poly import presentation_key
-from helpers import oracle_compare_polys, oracle_sort_polys_desc
+from helpers import (
+    model_mul,
+    model_sub,
+    model_terms,
+    oracle_compare_polys,
+    oracle_sort_polys_desc,
+)
 
 P = parse_poly
 
@@ -252,6 +258,29 @@ class TestArithmetic:
         assert P("3x^2+x") - P("x^2") == P("2x^2+x")
         with pytest.raises(NegativeCoefficientError):
             P("x^2") - P("2x^2")
+
+
+class TestDictModel:
+    term_lists = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=6)
+
+    @given(term_lists, term_lists)
+    def test_agrees_with_dict_model(self, a, b):
+        f, g = DegreePoly(a), DegreePoly(b)
+        ma, mb = model_terms(a), model_terms(b)
+        assert f.terms() == ma
+        assert [f.coefficient(e) for e in range(8)] == [ma.get(e, 0) for e in range(8)]
+        assert coeff_sum(f) == sum(ma.values())
+        assert (f + g).terms() == model_terms([*a, *b])
+        assert (f * g).terms() == model_mul(ma, mb)
+        diff = model_sub(ma, mb)
+        if diff is None:
+            with pytest.raises(NegativeCoefficientError):
+                f - g
+        else:
+            assert (f - g).terms() == diff
+        assert (f == g) == (ma == mb)
+        same = DegreePoly(reversed(a))
+        assert same == f and hash(same) == hash(f)
 
 
 class TestTensor:
