@@ -156,9 +156,11 @@ def _load_entries(arg: str) -> list[DegreePoly]:
 
 
 def _emit(out: dict | list[str]) -> None:
-    """Print a structured object as one JSON line, or text lines as they are."""
+    """Print a structured object as one JSON line, or text lines as they are.
+    A structured object is a fresh ``to_dict()`` tree, never cyclic, so the
+    encoder skips its cycle check."""
     if isinstance(out, dict):
-        print(json.dumps(out, separators=(",", ":")))
+        print(json.dumps(out, separators=(",", ":"), check_circular=False))
     else:
         sys.stdout.write("".join(line + "\n" for line in out))
 

@@ -13,7 +13,6 @@ H's.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -141,18 +140,25 @@ def from_edge_list(text: str) -> EdgeListResult:
     is a duplicate, reported as ``(min, max)`` in order of appearance.
     """
     index: dict[str, int] = {}  # label -> vertex, in first-appearance order
-    rows: defaultdict[int, set[int]] = defaultdict(set)
+    rows: list[set[int]] = []  # grows as vertices first appear
     duplicates: list[tuple[int, int]] = []
+    comments = "#" in text
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
+        if comments:
+            line = line.split("#", 1)[0]
         tokens = line.split()
         if len(tokens) == 2:
-            u = index.setdefault(tokens[0], len(index))
-            v = index.setdefault(tokens[1], len(index))
+            a, b = tokens
+            u = index.get(a)
+            if u is None:
+                u = index[a] = len(rows)
+                rows.append(set())
+            v = index.get(b)
+            if v is None:
+                v = index[b] = len(rows)
+                rows.append(set())
             if u == v:
-                raise SelfLoopError(
-                    f"line {line_no}: self-loop at vertex {tokens[0]!r}"
-                )
+                raise SelfLoopError(f"line {line_no}: self-loop at vertex {a!r}")
             row = rows[u]
             if v in row:
                 duplicates.append((u, v) if u < v else (v, u))
@@ -160,16 +166,16 @@ def from_edge_list(text: str) -> EdgeListResult:
                 row.add(v)
                 rows[v].add(u)
         elif len(tokens) == 1:
-            index.setdefault(tokens[0], len(index))
+            if tokens[0] not in index:
+                index[tokens[0]] = len(rows)
+                rows.append(set())
         elif tokens:
             raise EdgeListFormatError(
                 f"line {line_no}: expected 1 or 2 tokens, got {line.strip()!r}"
             )
-    if not index:
+    if not rows:
         raise EmptyInputError("edge list describes no vertices")
-    n = len(index)
-    adj = tuple(frozenset(rows.get(v, ())) for v in range(n))
-    graph = SimpleGraph(n, tuple(index), adj)
+    graph = SimpleGraph(len(rows), tuple(index), tuple(map(frozenset, rows)))
     return EdgeListResult(graph, tuple(duplicates))
 
 
@@ -290,12 +296,18 @@ def complement(g: SimpleGraph) -> SimpleGraph:
 
 def join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus every edge between the two sides.  G's vertices
-    come first, then H's vertex a as n_G + a, its label primed if G already
-    uses it."""
+    come first, then H's vertex a as n_G + a; its label gets primes added
+    until neither G nor an H vertex placed before it uses the label."""
     n1, n2 = g.n, h.n
     g_side, h_side = frozenset(range(n1)), frozenset(range(n1, n1 + n2))
     taken = set(g.labels)
-    labels = g.labels + tuple(f"{a}'" if a in taken else a for a in h.labels)
+    h_labels = []
+    for label in h.labels:
+        while label in taken:
+            label += "'"
+        taken.add(label)
+        h_labels.append(label)
+    labels = g.labels + tuple(h_labels)
     adj = tuple(row | h_side for row in g.adj)
     adj += tuple(frozenset(n1 + b for b in row) | g_side for row in h.adj)
     return SimpleGraph(n1 + n2, labels, adj)
@@ -378,32 +390,42 @@ class CanonicalForm:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
-def _refine(adj_masks: list[int], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    adj_masks: list[int],
+    cells: list[list[int]],
+    splitters: Optional[list[list[int]]] = None,
+) -> list[list[int]]:
     """Refine an ordered partition to equitability.
 
-    Vertices are split by their neighbor counts into every current cell;
-    sub-cells are ordered by signature, so the resulting cell order depends
-    only on the graph structure, never on the input labeling.
+    Vertices are split by their neighbor counts into the ``splitters``
+    (every cell by default; [v] and rest for a child node); sub-cells are
+    ordered by signature, so the cell order depends only on the graph
+    structure.  Later rounds count only against the pieces of the cells the
+    round before split: any other cell gives equal counts to all members of
+    a cell, so it would not change the buckets or their order (McKay &
+    Piperno, J. Symb. Comput. 2014, section 4).
     """
-    while True:
-        cell_masks = [sum(1 << v for v in cell) for cell in cells]
+    if splitters is None:
+        splitters = cells
+    while splitters:
+        masks = [sum(1 << v for v in cell) for cell in splitters]
         new_cells: list[list[int]] = []
-        changed = False
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
             buckets: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig = tuple((adj_masks[v] & m).bit_count() for m in cell_masks)
+                row = adj_masks[v]
+                sig = tuple((row & m).bit_count() for m in masks)
                 buckets.setdefault(sig, []).append(v)
-            if len(buckets) > 1:
-                changed = True
-            for sig in sorted(buckets):
-                new_cells.append(sorted(buckets[sig]))
-        if not changed:
-            return new_cells
+            pieces = [sorted(buckets[sig]) for sig in sorted(buckets)]
+            new_cells += pieces
+            if len(pieces) > 1:
+                splitters += pieces
         cells = new_cells
+    return cells
 
 
 def _cells_homogeneous(adj_masks: list[int], cells: list[list[int]]) -> bool:
@@ -489,9 +511,11 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
     best_order: list[int] = []
     autos: list[list[int]] = []  # seeded with the twin swaps at the first branching
 
-    def descend(cells: list[list[int]], fixed: list[int]) -> None:
+    def descend(
+        cells: list[list[int]], fixed: list[int], splitters: Optional[list]
+    ) -> None:
         nonlocal best, best_order, autos
-        cells = _refine(adj_masks, cells)
+        cells = _refine(adj_masks, cells, splitters)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None or _cells_homogeneous(adj_masks, cells):
             order = [v for cell in cells for v in cell]
@@ -523,11 +547,11 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
                 used = len(autos)
             if orbit and any(orbit[v] == orbit[t] for t in tried):
                 continue
-            rest = [w for w in cell if w != v]
-            descend(cells[:target] + [[v], rest] + cells[target + 1 :], fixed + [v])
+            split = [[v], [w for w in cell if w != v]]
+            descend(cells[:target] + split + cells[target + 1 :], fixed + [v], split)
             tried.append(v)
 
-    descend(initial, [])
+    descend(initial, [], None)
     assert best is not None
     return best
 

@@ -59,6 +59,18 @@ class DegreePoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def _from_counts(cls, acc: Mapping[int, int]) -> "DegreePoly":
+        """Unchecked construction from exact nonnegative integer counts per
+        exponent, as computed by the package; zero counts are dropped."""
+        self = object.__new__(cls)
+        items = acc.items()
+        if 0 in acc.values():
+            items = [(e, c) for e, c in items if c]
+        self._pairs = tuple(sorted(items, reverse=True))
+        self._total = sum(acc.values())
+        return self
+
+    @classmethod
     def zero(cls) -> "DegreePoly":
         return cls()
 
@@ -126,7 +138,10 @@ class DegreePoly:
     def __add__(self, other: "DegreePoly") -> "DegreePoly":
         if not isinstance(other, DegreePoly):
             return NotImplemented
-        return DegreePoly(self._pairs + other._pairs)
+        out = dict(self._pairs)
+        for e, c in other._pairs:
+            out[e] = out.get(e, 0) + c
+        return DegreePoly._from_counts(out)
 
     def __sub__(self, other: "DegreePoly") -> "DegreePoly":
         if not isinstance(other, DegreePoly):
@@ -139,7 +154,7 @@ class DegreePoly:
                     f"subtraction drops coefficient of x^{e} below zero"
                 )
             out[e] = new
-        return DegreePoly(out)
+        return DegreePoly._from_counts(out)
 
     def __mul__(self, other: "DegreePoly") -> "DegreePoly":
         if not isinstance(other, DegreePoly):
@@ -149,7 +164,7 @@ class DegreePoly:
             for eb, cb in other._pairs:
                 e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
-        return DegreePoly(out)
+        return DegreePoly._from_counts(out)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -319,27 +334,31 @@ def tensor_product(f: DegreePoly, g: DegreePoly) -> DegreePoly:
         for ej, cj in g:
             e = ei * ej
             out[e] = out.get(e, 0) + ci * cj
-    return DegreePoly(out)
+    return DegreePoly._from_counts(out)
 
 
 def scale_exponents(f: DegreePoly, n: int) -> DegreePoly:
     """Map every exponent i to i*n, keeping coefficients."""
     if n < 1:
         raise ValueError(f"scale factor must be positive, got {n}")
-    return DegreePoly({e * n: c for e, c in f})
+    if not isinstance(n, int):
+        raise TypeError(f"scale factor must be an integer, got {n!r}")
+    return DegreePoly._from_counts({e * n: c for e, c in f})
 
 
 def reflect_exponents(f: DegreePoly, n: int) -> DegreePoly:
     """Map every exponent i to n-i, keeping coefficients; needs deg(f) <= n."""
     if n < 0:
         raise ValueError(f"reflection bound must be nonnegative, got {n}")
+    if not isinstance(n, int):
+        raise TypeError(f"reflection bound must be an integer, got {n!r}")
     if f.is_zero:
         return DegreePoly.zero()
     if f.degree > n:
         raise DegreeBoundError(
             f"cannot reflect at {n}: polynomial has degree {f.degree}"
         )
-    return DegreePoly({n - e: c for e, c in f})
+    return DegreePoly._from_counts({n - e: c for e, c in f})
 
 
 # -- text format ----------------------------------------------------------------

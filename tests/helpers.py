@@ -7,7 +7,7 @@ paths that the library's faster implementations are checked against.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Optional
 
 from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
@@ -22,7 +22,6 @@ from degpoly.graphs import (
     OpKind,
     _cells_homogeneous,
     _encode,
-    _refine,
 )
 from degpoly.poly import presentation_key
 from degpoly.realizability import (
@@ -64,20 +63,48 @@ def brute_min_mask(n: int, mask: int) -> int:
     return best
 
 
+def oracle_refine(adj_masks: list[int], cells: list[list[int]]) -> list[list[int]]:
+    """``graphs._refine`` counting against every cell in every round: each
+    round rebuilds every cell mask and splits every cell by its members'
+    neighbor counts into all of them, until a round splits nothing."""
+    while True:
+        cell_masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((adj_masks[v] & m).bit_count() for m in cell_masks)
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) > 1:
+                changed = True
+            for sig in sorted(buckets):
+                new_cells.append(sorted(buckets[sig]))
+        if not changed:
+            return new_cells
+        cells = new_cells
+
+
+def degree_partition(adj_masks: list[int]) -> list[list[int]]:
+    """The vertices grouped by degree, cells in ascending degree order."""
+    by_degree: dict[int, list[int]] = {}
+    for v, mask in enumerate(adj_masks):
+        by_degree.setdefault(mask.bit_count(), []).append(v)
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
 def oracle_canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], ...]:
     """``graphs.canonical_encoding`` without automorphism pruning: the
     minimum ``_encode`` over every leaf of the individualization tree."""
     if n == 0:
         return ()
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
-    initial = [sorted(by_degree[d]) for d in sorted(by_degree)]
-
     best: list[Optional[tuple]] = [None]
 
     def descend(cells: list[list[int]]) -> None:
-        cells = _refine(adj_masks, cells)
+        cells = oracle_refine(adj_masks, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None or _cells_homogeneous(adj_masks, cells):
             enc = _encode(n, adj_masks, [v for cell in cells for v in cell])
@@ -89,7 +116,7 @@ def oracle_canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, 
             rest = [w for w in cell if w != v]
             descend(cells[:target] + [[v], rest] + cells[target + 1 :])
 
-    descend(initial)
+    descend(degree_partition(adj_masks))
     assert best[0] is not None
     return best[0]
 
@@ -219,6 +246,16 @@ def model_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return model_terms((ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items())
 
 
+def assert_checked_form(f: DegreePoly) -> None:
+    """``f`` is stored exactly as the checking constructor stores its terms:
+    descending exact-integer pairs, no zero coefficient, the stored total
+    equal to the coefficient sum."""
+    checked = DegreePoly(dict(f.terms()))
+    assert f._pairs == checked._pairs
+    assert f._total == checked._total
+    assert all(type(e) is int and type(c) is int for e, c in f._pairs)
+
+
 def oracle_erdos_gallai(d) -> bool:
     """Erdos-Gallai on a non-increasing sequence straight from the
     inequalities, summing each right side afresh (quadratic time)."""
@@ -289,11 +326,49 @@ def oracle_from_edge_list(text: str) -> EdgeListResult:
     return EdgeListResult(graph, tuple(duplicates))
 
 
+def oracle_streaming_from_edge_list(text: str) -> EdgeListResult:
+    """The edge-list parser in one pass with a comment split on every line,
+    rows in a ``defaultdict`` and labels placed by ``setdefault``: the
+    reference for ``from_edge_list``'s leaner pass, down to its errors."""
+    index: dict[str, int] = {}
+    rows: defaultdict[int, set[int]] = defaultdict(set)
+    duplicates: list[tuple[int, int]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        tokens = line.split()
+        if len(tokens) == 2:
+            u = index.setdefault(tokens[0], len(index))
+            v = index.setdefault(tokens[1], len(index))
+            if u == v:
+                raise SelfLoopError(
+                    f"line {line_no}: self-loop at vertex {tokens[0]!r}"
+                )
+            row = rows[u]
+            if v in row:
+                duplicates.append((u, v) if u < v else (v, u))
+            else:
+                row.add(v)
+                rows[v].add(u)
+        elif len(tokens) == 1:
+            index.setdefault(tokens[0], len(index))
+        elif tokens:
+            raise EdgeListFormatError(
+                f"line {line_no}: expected 1 or 2 tokens, got {line.strip()!r}"
+            )
+    if not index:
+        raise EmptyInputError("edge list describes no vertices")
+    n = len(index)
+    adj = tuple(frozenset(rows.get(v, ())) for v in range(n))
+    graph = SimpleGraph(n, tuple(index), adj)
+    return EdgeListResult(graph, tuple(duplicates))
+
+
 def oracle_apply_operation(op, g: SimpleGraph, h: SimpleGraph = None) -> SimpleGraph:
     """The five operations from their edge lists: every result edge listed
     as a tuple, then the graph built through ``SimpleGraph.from_edges``.
     Product vertex (u, v) gets index u*|H| + v; a join lists G's vertices,
-    then H's, suffixing a colliding H label with a prime."""
+    then H's, priming an H label until neither G nor an earlier H vertex
+    has it."""
     op = OpKind(op)
     if op is OpKind.COMPLEMENT:
         edges = (
@@ -305,10 +380,11 @@ def oracle_apply_operation(op, g: SimpleGraph, h: SimpleGraph = None) -> SimpleG
         return SimpleGraph.from_edges(g.n, edges, g.labels)
     n1, n2 = g.n, h.n
     if op is OpKind.JOIN:
-        taken = set(g.labels)
         labels = list(g.labels)
         for lbl in h.labels:
-            labels.append(f"{lbl}'" if lbl in taken else lbl)
+            while lbl in labels:
+                lbl = f"{lbl}'"
+            labels.append(lbl)
         edges = list(g.edges())
         edges += [(n1 + u, n1 + v) for u, v in h.edges()]
         edges += [(u, n1 + v) for u in range(n1) for v in range(n2)]

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from degpoly import realizability
+from degpoly import canonical_form, complete_graph, from_edge_list, realizability
 from degpoly.cli import main
 
 PAW_EDGES = "a b\na c\nb c\nc d\n"
@@ -124,6 +124,17 @@ class TestOp:
         code, out, _ = run(capsys, "op", "join", str(k1), str(c4), "--verify")
         assert code == 0
         assert "5/5 vertices match formula" in out
+
+    def test_join_primed_label_collision(self, capsys):
+        code, out, _ = run(capsys, "--format", "structured", "op", "join", "a b", "a a'")
+        assert code == 0
+        labels = json.loads(out)["result"]["labels"]
+        assert len(set(labels)) == len(labels) == 4
+        code, out, _ = run(capsys, "op", "join", "a b", "a a'", "--verify")
+        assert code == 0
+        edges = out.splitlines()[1:-1]
+        reread = from_edge_list("\n".join(edges)).graph
+        assert canonical_form(reread) == canonical_form(complete_graph(4))
 
     def test_complement(self, capsys):
         code, out, _ = run(capsys, "op", "complement", PAW_EDGES)

@@ -40,7 +40,7 @@ from degpoly.errors import (
     IsolatedVertexError,
     ZeroEntryError,
 )
-from helpers import paw_graph, mask_graph, naive_vertex_poly
+from helpers import assert_checked_form, paw_graph, mask_graph, naive_vertex_poly
 
 P = parse_poly
 Z = DegreePoly.zero()
@@ -80,6 +80,14 @@ class TestVertexPolynomial:
     def test_whole_graph_equals_per_vertex(self, g):
         want = tuple(degree_polynomial(g, v) for v in range(g.n))
         assert vertex_polynomials(g) == want
+
+    @given(graphs_st(min_n=0, max_n=8))
+    def test_counted_polynomials_in_checked_form(self, g):
+        for p in vertex_polynomials(g):
+            assert_checked_form(p)
+        for v in range(g.n):
+            assert_checked_form(degree_polynomial(g, v))
+        assert_checked_form(graph_degree_polynomial(g))
 
     @given(graphs_st())
     def test_no_constant_term_without_isolated_vertices(self, g):

@@ -40,13 +40,17 @@ from degpoly.errors import (
 )
 from degpoly.graphs import FAMILY_MAX_N
 from helpers import (
+    all_graphs,
     brute_min_mask,
     degree_multiset,
+    degree_partition,
     extends_to_automorphism,
     mask_graph,
     oracle_apply_operation,
     oracle_canonical_encoding,
     oracle_from_edge_list,
+    oracle_refine,
+    oracle_streaming_from_edge_list,
     paw_graph,
 )
 
@@ -145,6 +149,31 @@ class TestEdgeList:
             assert got.graph.adj == want.graph.adj
             assert got.duplicate_edges == want.duplicate_edges
         assert raised > (100 if bad else 0)
+
+    edge_list_lines = st.builds(
+        lambda indent, tokens, gap, comment: indent + gap.join(tokens) + comment,
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "v1", "x'", "p#q"]), max_size=3),
+        st.sampled_from([" ", "  ", "\t"]),
+        st.sampled_from(["", "", "#", " # note", "\t#a b c"]),
+    )
+
+    @given(st.lists(edge_list_lines, max_size=25), st.sampled_from(["\n", "\r\n"]))
+    @example(["a b", "b a", "a", "c"], "\n")
+    @example(["a a"], "\n")
+    @example(["a b c # x"], "\n")
+    @example(["# only", "  "], "\n")
+    def test_equals_streaming_oracle(self, lines, newline):
+        text = newline.join(lines)
+        try:
+            want = oracle_streaming_from_edge_list(text)
+        except DegpolyError as exc:
+            with pytest.raises(type(exc)) as info:
+                from_edge_list(text)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            return
+        assert from_edge_list(text) == want
 
     def test_duplicates_in_both_orientations(self):
         text = "a b\nb c\nb a\nc b\na b\n"
@@ -248,6 +277,22 @@ class TestJoin:
     def test_label_collision_disambiguated(self):
         j = join(complete_graph(2), complete_graph(2))
         assert len(set(j.labels)) == j.n
+
+    def test_primed_label_collision_disambiguated(self):
+        g = from_edge_list("a b").graph
+        h = from_edge_list("a a'").graph
+        j = join(g, h)
+        assert j.labels == ("a", "b", "a'", "a''")
+        assert j == oracle_apply_operation(OpKind.JOIN, g, h)
+
+    @given(
+        st.lists(st.sampled_from(["a", "a'", "a''", "b"]), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from(["a", "a'", "a''", "b"]), min_size=1, max_size=4, unique=True),
+    )
+    def test_labels_always_distinct(self, g_labels, h_labels):
+        j = join(empty_graph(len(g_labels), g_labels), empty_graph(len(h_labels), h_labels))
+        assert len(set(j.labels)) == j.n
+        assert j.labels[: len(g_labels)] == tuple(g_labels)
 
 
 class TestProducts:
@@ -386,8 +431,8 @@ def search_nodes(g: SimpleGraph) -> list[tuple[list[int], list[list[int]], list[
     stack = []
     real = graphs_mod._refine
 
-    def recording(adj_masks, cells):
-        refined = real(adj_masks, cells)
+    def recording(adj_masks, cells, splitters=None):
+        refined = real(adj_masks, cells, splitters)
         while stack:
             parent = stack[-1]
             target = next((i for i, c in enumerate(parent[1]) if len(c) > 1), None)
@@ -445,6 +490,36 @@ SYMMETRIC_16 = {
 # stabilizer of a vertex splits its nine non-neighbours, which refinement
 # keeps in one cell.
 SHRIKHANDE_LABELING = [10, 14, 5, 1, 9, 2, 3, 11, 13, 7, 8, 4, 0, 6, 15, 12]
+
+
+class TestRefine:
+    """``_refine`` counts only against the cells that can split another,
+    and gives the ordered partitions of counting against every cell."""
+
+    @staticmethod
+    def masks(g: SimpleGraph) -> list[int]:
+        return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+
+    def test_equals_oracle_on_degree_partitions(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                masks = self.masks(g)
+                cells = degree_partition(masks)
+                assert graphs_mod._refine(masks, cells) == oracle_refine(masks, cells)
+
+    @given(st.data())
+    def test_equals_oracle_after_individualizing(self, data):
+        g = data.draw(graphs_st(min_n=2, max_n=12))
+        masks = self.masks(g)
+        cells = oracle_refine(masks, degree_partition(masks))
+        targets = [i for i, c in enumerate(cells) if len(c) > 1]
+        if not targets:
+            return
+        i = data.draw(st.sampled_from(targets))
+        v = data.draw(st.sampled_from(cells[i]))
+        split = [[v], [w for w in cells[i] if w != v]]
+        child = cells[:i] + split + cells[i + 1 :]
+        assert graphs_mod._refine(masks, child, split) == oracle_refine(masks, child)
 
 
 class TestCanonicalForm:

@@ -29,6 +29,7 @@ from degpoly.errors import (
 )
 from degpoly.poly import presentation_key
 from helpers import (
+    assert_checked_form,
     model_mul,
     model_sub,
     model_terms,
@@ -71,6 +72,35 @@ class TestConstruction:
             DegreePoly({2: 1.5})
         with pytest.raises(TypeError):
             DegreePoly({True: 1})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DegreePoly({2: True}),
+            lambda: DegreePoly({2.0: 1}),
+            lambda: DegreePoly([(1, 2.0)]),
+            lambda: DegreePoly.monomial(1, False),
+            lambda: DegreePoly.monomial(1.0),
+            lambda: DegreePoly.from_pairs([[3, 1.5]]),
+            lambda: DegreePoly.from_pairs([[True, 1]]),
+        ],
+    )
+    def test_public_constructors_reject_non_integers(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DegreePoly.monomial(2, -1),
+            lambda: DegreePoly.monomial(-2),
+            lambda: DegreePoly.from_pairs([[1, 1], [0, -3]]),
+            lambda: DegreePoly([(-1, 0)]),
+        ],
+    )
+    def test_public_constructors_reject_negatives(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_equality_is_term_map_equality(self):
         assert P("2x^2+x") == DegreePoly({1: 1, 2: 2})
@@ -281,6 +311,36 @@ class TestDictModel:
         assert (f == g) == (ma == mb)
         same = DegreePoly(reversed(a))
         assert same == f and hash(same) == hash(f)
+
+
+class TestTrustedConstruction:
+    """Results built without the per-term checks are stored exactly as the
+    public constructor would store them: descending, no zero coefficients,
+    the stored total equal to the coefficient sum."""
+
+    @given(polys, polys)
+    def test_arithmetic(self, f, g):
+        assert_checked_form(f + g)
+        assert_checked_form(f * g)
+        assert_checked_form(tensor_product(f, g))
+        assert_checked_form((f + g) - g)
+
+    @given(polys)
+    def test_difference_drops_zero_coefficients(self, f):
+        assert_checked_form(f - f)
+        assert (f - f).is_zero
+
+    @given(polys, st.integers(1, 5), st.integers(0, 4))
+    def test_exponent_transforms(self, f, factor, slack):
+        assert_checked_form(scale_exponents(f, factor))
+        bound = (f.degree if f else 0) + slack
+        assert_checked_form(reflect_exponents(f, bound))
+
+    def test_transforms_reject_non_integer_factors(self):
+        with pytest.raises(TypeError):
+            scale_exponents(P("x"), 2.0)
+        with pytest.raises(TypeError):
+            reflect_exponents(P("x"), 3.0)
 
 
 class TestTensor:
