@@ -8,6 +8,16 @@ graph.  The four products share one vertex layout, row-major: vertex
 this module only, by ``_product`` and by ``product_map``, which also gives
 ``dp.verify_operation`` its vertex order.  A join lists G's vertices, then
 H's.
+
+Canonical labeling (``canonical_encoding``) refines the degree partition,
+individualizes a vertex of the first non-singleton cell and recurses,
+pruning children by the automorphisms it finds.  Each leaf is one int,
+its certificate: one bit per vertex pair, pairs in lexicographic order
+with (0, 1) as the most significant, set for an edge.  The largest
+certificate wins, and ``canonical_form`` decodes it once into the edge
+list.  Refinement counts neighbours only in the cells that can split
+another: the pieces of the cells the round before split, less the last
+piece of each, whose count is a per-cell constant minus the others.
 """
 
 from __future__ import annotations
@@ -393,72 +403,110 @@ class CanonicalForm:
 def _refine(
     adj_masks: list[int],
     cells: list[list[int]],
-    splitters: Optional[list[list[int]]] = None,
-) -> list[list[int]]:
+    masks: list[int],
+    splitters: list[int],
+) -> tuple[list[list[int]], list[int]]:
     """Refine an ordered partition to equitability.
 
-    Vertices are split by their neighbor counts into the ``splitters``
-    (every cell by default; [v] and rest for a child node); sub-cells are
-    ordered by signature, so the cell order depends only on the graph
-    structure.  Later rounds count only against the pieces of the cells the
-    round before split: any other cell gives equal counts to all members of
-    a cell, so it would not change the buckets or their order (McKay &
-    Piperno, J. Symb. Comput. 2014, section 4).
-    """
-    if splitters is None:
-        splitters = cells
+    ``masks`` holds each cell's vertex bitmask and ``splitters`` the masks
+    to count against first; returns the refined cells and their masks.
+    Each round splits every cell by its members' neighbor counts into the
+    splitters, read as one int whose base-(n+1) digits are the counts, and
+    orders the sub-cells by that key, so the cell order depends only on the
+    graph structure.  A round counts only against the pieces of the cells
+    the round before split: any other cell gives equal counts to all
+    members of a cell, so it would not change the buckets or their order
+    (McKay & Piperno, J. Symb. Comput. 2014, section 4).  Nor is the last
+    piece of a split cell counted: every cell has equal counts into the
+    whole of the split cell, so a member's count into the last piece is a
+    per-cell constant minus its counts into the pieces before it, whose
+    digits come just before it in the key.  The caller applies the same
+    rule to the first round: it passes every degree cell but the last at
+    the root, and only {v} at a child node."""
+    base = len(adj_masks) + 1
     while splitters:
-        masks = [sum(1 << v for v in cell) for cell in splitters]
         new_cells: list[list[int]] = []
-        splitters = []
-        for cell in cells:
+        new_masks: list[int] = []
+        next_splitters: list[int] = []
+        for cell, mask in zip(cells, masks):
             if len(cell) == 1:
                 new_cells.append(cell)
+                new_masks.append(mask)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
+            buckets: dict[int, list[int]] = {}
             for v in cell:
                 row = adj_masks[v]
-                sig = tuple((row & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(v)
-            pieces = [sorted(buckets[sig]) for sig in sorted(buckets)]
+                key = 0
+                for s in splitters:
+                    key = key * base + (row & s).bit_count()
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [v]
+                else:
+                    bucket.append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+                new_masks.append(mask)
+                continue
+            pieces = [buckets[key] for key in sorted(buckets)]
+            last = mask
+            for piece in pieces[:-1]:
+                piece_mask = sum(1 << v for v in piece)
+                last ^= piece_mask
+                new_masks.append(piece_mask)
+                next_splitters.append(piece_mask)
+            new_masks.append(last)
             new_cells += pieces
-            if len(pieces) > 1:
-                splitters += pieces
-        cells = new_cells
-    return cells
+        cells, masks, splitters = new_cells, new_masks, next_splitters
+    return cells, masks
 
 
-def _cells_homogeneous(adj_masks: list[int], cells: list[list[int]]) -> bool:
-    """True when every cell pair is fully joined or fully disjoint.
+def _cells_homogeneous(
+    adj_masks: list[int], cells: list[list[int]], masks: list[int]
+) -> bool:
+    """True when every cell pair is fully joined or fully disjoint; ``masks``
+    are the cells' vertex bitmasks.
 
     For an equitable partition this means any cell-respecting bijection is
     an automorphism, so no individualization branching is needed.
     """
-    cell_masks = [sum(1 << v for v in cell) for cell in cells]
-    for i, cell in enumerate(cells):
+    for cell in cells:
         v0 = cell[0]
-        for j, mask in enumerate(cell_masks):
-            count = (adj_masks[v0] & mask).bit_count()
-            full = len(cells[j]) - (1 if i == j else 0)
-            if count not in (0, full):
+        row = adj_masks[v0]
+        others = ~(1 << v0)
+        for mask in masks:
+            hit = row & mask
+            if hit and hit != mask & others:
                 return False
     return True
 
 
-def _encode(n: int, adj_masks: list[int], order: list[int]) -> tuple[tuple[int, int], ...]:
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    relabeled = []
-    for u in range(n):
-        mask = adj_masks[u]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if v > u:
-                a, b = pos[u], pos[v]
-                relabeled.append((a, b) if a < b else (b, a))
-    return tuple(sorted(relabeled))
+def _certificate(adj_masks: list[int], order: list[int]) -> int:
+    """The graph relabeled by ``order`` (new vertex i is old ``order[i]``)
+    as one int: a bit per vertex pair, pairs in lexicographic order with
+    (0, 1) as the most significant bit, set when the pair is an edge."""
+    cert = 0
+    for i, v in enumerate(order):
+        row = adj_masks[v]
+        for w in order[i + 1 :]:
+            cert = cert << 1 | row >> w & 1
+    return cert
+
+
+def _decode(n: int, cert: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edge tuple of a certificate of order n.  Vertex a's pairs
+    (a, a+1), ..., (a, n-1) are one run of n-1-a bits, in which the pair
+    (a, b) has bit n-1-b; set bits are read from the highest down."""
+    edges = []
+    shift = n * (n - 1) // 2
+    for a in range(n - 1):
+        shift -= n - 1 - a
+        row = cert >> shift & ((1 << (n - 1 - a)) - 1)
+        while row:
+            top = row.bit_length()
+            edges.append((a, n - top))
+            row ^= 1 << (top - 1)
+    return tuple(edges)
 
 
 def _twin_automorphisms(n: int, adj_masks: list[int]) -> list[list[int]]:
@@ -481,48 +529,50 @@ def _twin_automorphisms(n: int, adj_masks: list[int]) -> list[list[int]]:
     return autos
 
 
-def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], ...]:
-    """Canonical edge encoding from adjacency bitmasks.
+def canonical_encoding(n: int, adj_masks: list[int]) -> int:
+    """Canonical certificate from adjacency bitmasks.
 
     Degree partition refinement plus individualization backtracking; the
-    minimum edge encoding over all leaves (discrete or homogeneous
-    partitions) is taken, which is labeling-invariant.
+    largest ``_certificate`` over all leaves (discrete or homogeneous
+    partitions) is taken, which is labeling-invariant.  All leaves of one
+    graph have the same number of edges, so the largest certificate is the
+    one whose sorted edge tuple (``_decode``) is smallest.
 
     The tree is pruned by automorphisms: the twin swaps, plus every
-    gamma = best_order o order^-1 met at a leaf whose encoding equals the
+    gamma = best_order o order^-1 met at a leaf whose certificate equals the
     best so far.  At a node whose individualized vertices are P, a child v
     is skipped when it shares an orbit with a child already tried, under the
     automorphisms found so far that fix every vertex of P.  Such an
     automorphism maps the two child subtrees onto each other: refinement,
     the target cell and the order of sub-cells depend only on structure, so
     it maps every node's cells (as sets) to the matching node's cells, and
-    at a leaf the encoding depends only on those sets, since a homogeneous
-    cell's internal order does not change it.  The skipped subtree thus
-    holds the same leaf encodings as one already searched, and the minimum
-    is unchanged.  Until an automorphism is known no orbits are kept."""
-    if n == 0:
-        return ()
+    at a leaf the certificate depends only on those sets, since a
+    homogeneous cell's internal order does not change it.  The skipped
+    subtree thus holds the same leaf certificates as one already searched,
+    and the maximum is unchanged.  Until an automorphism is known no orbits
+    are kept."""
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
-    initial = [sorted(by_degree[d]) for d in sorted(by_degree)]
+    initial = [by_degree[d] for d in sorted(by_degree)]
+    initial_masks = [sum(1 << v for v in cell) for cell in initial]
 
-    best: Optional[tuple] = None
+    best = -1
     best_order: list[int] = []
     autos: list[list[int]] = []  # seeded with the twin swaps at the first branching
 
     def descend(
-        cells: list[list[int]], fixed: list[int], splitters: Optional[list]
+        cells: list[list[int]], masks: list[int], fixed: list[int], splitters: list[int]
     ) -> None:
         nonlocal best, best_order, autos
-        cells = _refine(adj_masks, cells, splitters)
+        cells, masks = _refine(adj_masks, cells, masks, splitters)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None or _cells_homogeneous(adj_masks, cells):
+        if target is None or _cells_homogeneous(adj_masks, cells, masks):
             order = [v for cell in cells for v in cell]
-            enc = _encode(n, adj_masks, order)
-            if best is None or enc < best:
-                best, best_order = enc, order
-            elif enc == best:
+            cert = _certificate(adj_masks, order)
+            if cert > best:
+                best, best_order = cert, order
+            elif cert == best:
                 gamma = [0] * n
                 for v, w in zip(order, best_order):
                     gamma[v] = w
@@ -530,7 +580,7 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
             return
         if not fixed:
             autos = _twin_automorphisms(n, adj_masks)
-        cell = cells[target]
+        cell, mask = cells[target], masks[target]
         orbit: list[int] = []  # orbit representative of each vertex
         used = 0  # automorphisms already merged into ``orbit``
         tried: list[int] = []
@@ -547,12 +597,16 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], .
                 used = len(autos)
             if orbit and any(orbit[v] == orbit[t] for t in tried):
                 continue
-            split = [[v], [w for w in cell if w != v]]
-            descend(cells[:target] + split + cells[target + 1 :], fixed + [v], split)
+            bit = 1 << v
+            descend(
+                cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :],
+                masks[:target] + [bit, mask ^ bit] + masks[target + 1 :],
+                fixed + [v],
+                [bit],
+            )
             tried.append(v)
 
-    descend(initial, [], None)
-    assert best is not None
+    descend(initial, initial_masks, [], initial_masks[:-1])
     return best
 
 
@@ -562,8 +616,8 @@ def canonical_form(g: SimpleGraph) -> CanonicalForm:
         raise TooLargeError(
             f"canonical form limited to n <= {CANONICAL_FORM_MAX_N}, got {g.n}"
         )
-    adj_masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-    return CanonicalForm(g.n, canonical_encoding(g.n, adj_masks))
+    adj_masks = [sum(1 << w for w in row) for row in g.adj]
+    return CanonicalForm(g.n, _decode(g.n, canonical_encoding(g.n, adj_masks)))
 
 
 # -- DOT emission --------------------------------------------------------------------

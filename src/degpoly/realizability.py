@@ -548,9 +548,11 @@ def _realize_task(payload) -> list[CanonicalForm]:
     first appearance; only the first if not ``want_all``."""
     d_desc, first_row, target, want_all = payload
     n = len(d_desc)
+    labels = tuple(f"v{i}" for i in range(n))
     found: dict[CanonicalForm, None] = {}
     for adj in _iter_adj(d_desc, first_row, target, twins=True):
-        found[canonical_form(SimpleGraph.from_edges(n, _adj_edges(adj)))] = None
+        graph = SimpleGraph(n, labels, tuple(map(frozenset, adj)))
+        found[canonical_form(graph)] = None
         if not want_all:
             break
     return list(found)
@@ -657,11 +659,11 @@ class ClassifiedSequence:
         }
 
 
-def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[tuple]]:
-    """Canonical encodings of the graphs with degree multiset ``d``,
+def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[int]]:
+    """Canonical certificates of the graphs with degree multiset ``d``,
     grouped by degree-polynomial key (the sorted vertex keys)."""
     n = len(d)
-    groups: dict[tuple, set[tuple]] = {}
+    groups: dict[tuple, set[int]] = {}
     for adj in _iter_adj(d, twins=True):
         key = tuple(sorted(_vertex_key(d, row) for row in adj))
         masks = [sum(1 << w for w in row) for row in adj]
@@ -681,7 +683,7 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
             f"classification limited to n <= {CLASSIFY_MAX_N}, got {n}"
         )
     multisets = _graphical_positive_multisets(n)
-    groups: dict[tuple, set[tuple]] = {}
+    groups: dict[tuple, set[int]] = {}
     for partial in _ordered_map(_classify_task, multisets, workers):
         for key, forms in partial.items():
             groups.setdefault(key, set()).update(forms)

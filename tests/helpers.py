@@ -17,12 +17,7 @@ from degpoly.errors import (
     SelfLoopError,
     ZeroOperandError,
 )
-from degpoly.graphs import (
-    EdgeListResult,
-    OpKind,
-    _cells_homogeneous,
-    _encode,
-)
+from degpoly.graphs import EdgeListResult, OpKind
 from degpoly.poly import presentation_key
 from degpoly.realizability import (
     RealizabilityReport,
@@ -96,9 +91,37 @@ def degree_partition(adj_masks: list[int]) -> list[list[int]]:
     return [by_degree[d] for d in sorted(by_degree)]
 
 
+def cells_homogeneous(adj_masks: list[int], cells: list[list[int]]) -> bool:
+    """Whether every member of every cell is adjacent to all or to none of
+    the other members of each cell, counted vertex by vertex."""
+    for cell in cells:
+        for v in cell:
+            for other in cells:
+                count = sum(1 for w in other if w != v and adj_masks[v] >> w & 1)
+                if count not in (0, len(other) - (v in other)):
+                    return False
+    return True
+
+
+def encode_edges(n: int, adj_masks: list[int], order: list[int]) -> tuple[tuple[int, int], ...]:
+    """The graph relabeled by ``order`` (new vertex i is old ``order[i]``)
+    as its sorted edge tuple."""
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    relabeled = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj_masks[u] >> v & 1:
+                a, b = pos[u], pos[v]
+                relabeled.append((a, b) if a < b else (b, a))
+    return tuple(sorted(relabeled))
+
+
 def oracle_canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, int], ...]:
-    """``graphs.canonical_encoding`` without automorphism pruning: the
-    minimum ``_encode`` over every leaf of the individualization tree."""
+    """``graphs.canonical_encoding`` without automorphism pruning and on
+    edge tuples: the minimum ``encode_edges`` over every leaf of the
+    individualization tree."""
     if n == 0:
         return ()
     best: list[Optional[tuple]] = [None]
@@ -106,8 +129,8 @@ def oracle_canonical_encoding(n: int, adj_masks: list[int]) -> tuple[tuple[int, 
     def descend(cells: list[list[int]]) -> None:
         cells = oracle_refine(adj_masks, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None or _cells_homogeneous(adj_masks, cells):
-            enc = _encode(n, adj_masks, [v for cell in cells for v in cell])
+        if target is None or cells_homogeneous(adj_masks, cells):
+            enc = encode_edges(n, adj_masks, [v for cell in cells for v in cell])
             if best[0] is None or enc < best[0]:
                 best[0] = enc
             return

@@ -431,8 +431,8 @@ def search_nodes(g: SimpleGraph) -> list[tuple[list[int], list[list[int]], list[
     stack = []
     real = graphs_mod._refine
 
-    def recording(adj_masks, cells, splitters=None):
-        refined = real(adj_masks, cells, splitters)
+    def recording(adj_masks, cells, masks, splitters):
+        refined, refined_masks = real(adj_masks, cells, masks, splitters)
         while stack:
             parent = stack[-1]
             target = next((i for i, c in enumerate(parent[1]) if len(c) > 1), None)
@@ -446,7 +446,7 @@ def search_nodes(g: SimpleGraph) -> list[tuple[list[int], list[list[int]], list[
         prefix = stack[-1][0] + [stack[-1][2][-1]] if stack else []
         stack.append((prefix, refined, []))
         nodes.append(stack[-1])
-        return refined
+        return refined, refined_masks
 
     with mock.patch.object(graphs_mod, "_refine", recording):
         canonical_form(g)
@@ -469,8 +469,10 @@ def unsearched_stabilizer_orbit(g: SimpleGraph):
 
 
 def encodings(g: SimpleGraph) -> tuple:
+    """The edges of ``canonical_encoding``'s certificate, and the oracle's."""
     masks = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-    return graphs_mod.canonical_encoding(g.n, masks), oracle_canonical_encoding(g.n, masks)
+    cert = graphs_mod.canonical_encoding(g.n, masks)
+    return graphs_mod._decode(g.n, cert), oracle_canonical_encoding(g.n, masks)
 
 
 # Order-16 graphs with large automorphism groups, the slowest inside the
@@ -500,26 +502,113 @@ class TestRefine:
     def masks(g: SimpleGraph) -> list[int]:
         return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
+    @staticmethod
+    def refine(adj_masks, cells, splitters) -> list[list[int]]:
+        """``_refine`` on cells given as vertex lists, checking the cell
+        masks it returns against the cells."""
+        def mask(cell):
+            return sum(1 << v for v in cell)
+
+        refined, refined_masks = graphs_mod._refine(
+            adj_masks, cells, list(map(mask, cells)), list(map(mask, splitters))
+        )
+        assert refined_masks == list(map(mask, refined))
+        return refined
+
+    def individualized(self, data, adj_masks, depth):
+        """A node ``depth`` individualizations below the root of the search
+        tree, as (cells, splitters) before refinement, its ancestors refined
+        by ``oracle_refine``; None if a partition on the way is discrete."""
+        cells = degree_partition(adj_masks)
+        for _ in range(depth):
+            cells = oracle_refine(adj_masks, cells)
+            targets = [i for i, c in enumerate(cells) if len(c) > 1]
+            if not targets:
+                return None
+            i = data.draw(st.sampled_from(targets))
+            v = data.draw(st.sampled_from(cells[i]))
+            cells = cells[:i] + [[v], [w for w in cells[i] if w != v]] + cells[i + 1 :]
+        return cells, [[v]]
+
     def test_equals_oracle_on_degree_partitions(self):
         for n in range(1, 7):
             for g in all_graphs(n):
                 masks = self.masks(g)
                 cells = degree_partition(masks)
-                assert graphs_mod._refine(masks, cells) == oracle_refine(masks, cells)
+                assert self.refine(masks, cells, cells[:-1]) == oracle_refine(masks, cells)
 
     @given(st.data())
     def test_equals_oracle_after_individualizing(self, data):
         g = data.draw(graphs_st(min_n=2, max_n=12))
         masks = self.masks(g)
-        cells = oracle_refine(masks, degree_partition(masks))
-        targets = [i for i, c in enumerate(cells) if len(c) > 1]
-        if not targets:
-            return
-        i = data.draw(st.sampled_from(targets))
-        v = data.draw(st.sampled_from(cells[i]))
-        split = [[v], [w for w in cells[i] if w != v]]
-        child = cells[:i] + split + cells[i + 1 :]
-        assert graphs_mod._refine(masks, child, split) == oracle_refine(masks, child)
+        node = self.individualized(data, masks, 1)
+        if node is not None:
+            child, splitters = node
+            assert self.refine(masks, child, splitters) == oracle_refine(masks, child)
+
+    @given(st.data())
+    def test_equals_oracle_after_individualizing_twice(self, data):
+        # Products of two small graphs keep cells of several vertices two
+        # levels down, where most random graphs are already discrete.
+        product = st.builds(
+            apply_operation,
+            st.sampled_from(["cartesian", "tensor", "lexicographic"]),
+            graphs_st(min_n=2, max_n=4),
+            graphs_st(min_n=2, max_n=3),
+        )
+        g = data.draw(st.one_of(graphs_st(min_n=3, max_n=12), product))
+        masks = self.masks(g)
+        node = self.individualized(data, masks, 2)
+        if node is not None:
+            grandchild, splitters = node
+            want = oracle_refine(masks, grandchild)
+            assert self.refine(masks, grandchild, splitters) == want
+
+
+@st.composite
+def equal_size_edge_sets(draw, max_n=16):
+    """Two sorted edge tuples on the same n with the same number of edges."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return n, (), ()
+    m = draw(st.integers(0, len(pairs)))
+    edge_set = st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True)
+    return n, tuple(sorted(draw(edge_set))), tuple(sorted(draw(edge_set)))
+
+
+def certificate(n: int, edges) -> int:
+    """``_certificate`` of the graph with these edges, in its own labeling."""
+    g = SimpleGraph.from_edges(n, edges)
+    masks = [sum(1 << w for w in row) for row in g.adj]
+    return graphs_mod._certificate(masks, list(range(n)))
+
+
+class TestCertificate:
+    """A leaf certificate orders edge sets of one size as their sorted edge
+    tuples in reverse, so the largest certificate is the smallest tuple."""
+
+    @given(equal_size_edge_sets())
+    @example((4, ((0, 1), (2, 3)), ((0, 2), (1, 3))))
+    @example((16, ((14, 15),), ((0, 1),)))
+    def test_order_reverses_edge_tuple_order(self, case):
+        n, a, b = case
+        ca, cb = certificate(n, a), certificate(n, b)
+        assert (ca > cb) == (a < b)
+        assert (ca == cb) == (a == b)
+
+    @given(equal_size_edge_sets())
+    def test_decodes_to_its_edges(self, case):
+        n, a, _ = case
+        assert graphs_mod._decode(n, certificate(n, a)) == a
+
+    def test_relabeled_by_the_leaf_order(self):
+        # New vertex i is old order[i]: the path 0-1-2-3 read in the order
+        # 1, 3, 0, 2 has edges (0, 2), (0, 3), (1, 3).
+        g = path_graph(4)
+        masks = [sum(1 << w for w in row) for row in g.adj]
+        cert = graphs_mod._certificate(masks, [1, 3, 0, 2])
+        assert graphs_mod._decode(4, cert) == ((0, 2), (0, 3), (1, 3))
 
 
 class TestCanonicalForm:

@@ -1,5 +1,6 @@
 """Realizability: projections, classical tests, enumeration, search."""
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -404,6 +405,15 @@ def _report_bytes(report):
     return json.dumps(report.to_dict(), separators=(",", ":"))
 
 
+# sha256 of ``_report_bytes`` of ``realize`` on every realizable sequence
+# with n <= 6, all witnesses then the first, in ``classify_all`` order: 302
+# reports.  Pinned while canonical forms came from sorted edge tuples; a
+# change to canonical labeling that moves any witness changes it, which
+# ``TestOracle`` would not see, since its oracle labels through
+# ``canonical_form`` too.
+REPORTS_UP_TO_SIX_SHA256 = "29e7e9bd501abe5ca2d6722b1a6b5f3ea49b4a20481d267f2bd61c2522d802fe"
+
+
 def _near_misses(sequences):
     """Sequences one coefficient away from a realizable one: a unit moved
     between two exponents of one entry, so the projection is unchanged.
@@ -439,6 +449,14 @@ class TestOracle:
                 assert got.realizable is True
                 want = oracle_realize(seq, want_all)
                 assert _report_bytes(got) == _report_bytes(want), (seq, want_all)
+
+    def test_reports_up_to_order_six_are_pinned(self, realizable_up_to_six):
+        digest = hashlib.sha256()
+        for seq in realizable_up_to_six:
+            for want_all in (True, False):
+                report = realize(seq, want_all_witnesses=want_all)
+                digest.update(_report_bytes(report).encode())
+        assert digest.hexdigest() == REPORTS_UP_TO_SIX_SHA256
 
     def test_unrealizable_sequences_passing_the_conditions(self, realizable_up_to_six):
         near = _near_misses(realizable_up_to_six)
