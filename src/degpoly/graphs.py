@@ -10,14 +10,18 @@ this module only, by ``_product`` and by ``product_map``, which also gives
 H's.
 
 Canonical labeling (``canonical_encoding``) refines the degree partition,
-individualizes a vertex of the first non-singleton cell and recurses,
-pruning children by the automorphisms it finds.  Each leaf is one int,
-its certificate: one bit per vertex pair, pairs in lexicographic order
-with (0, 1) as the most significant, set for an edge.  The largest
-certificate wins, and ``canonical_form`` decodes it once into the edge
-list.  Refinement counts neighbours only in the cells that can split
-another: the pieces of the cells the round before split, less the last
-piece of each, whose count is a per-cell constant minus the others.
+individualizes a vertex of the first non-singleton cell and recurses.  On
+an equitable partition a cell is homogeneous toward every cell exactly when
+its members are twins (equal open or closed neighbourhoods), so a node is a
+leaf once every cell lies in one twin class; children are pruned by orbits
+that start from the twin classes and grow by the automorphisms the leaves
+show.  Each leaf is one int, its certificate: one bit per vertex pair,
+pairs in lexicographic order with (0, 1) as the most significant, set for
+an edge.  The largest certificate wins, and ``canonical_form`` decodes it
+once into the edge list.  Refinement counts neighbours only in the cells
+that can split another: the pieces of the cells the round before split,
+less the last piece of each, whose count is a per-cell constant minus the
+others.
 """
 
 from __future__ import annotations
@@ -461,26 +465,6 @@ def _refine(
     return cells, masks
 
 
-def _cells_homogeneous(
-    adj_masks: list[int], cells: list[list[int]], masks: list[int]
-) -> bool:
-    """True when every cell pair is fully joined or fully disjoint; ``masks``
-    are the cells' vertex bitmasks.
-
-    For an equitable partition this means any cell-respecting bijection is
-    an automorphism, so no individualization branching is needed.
-    """
-    for cell in cells:
-        v0 = cell[0]
-        row = adj_masks[v0]
-        others = ~(1 << v0)
-        for mask in masks:
-            hit = row & mask
-            if hit and hit != mask & others:
-                return False
-    return True
-
-
 def _certificate(adj_masks: list[int], order: list[int]) -> int:
     """The graph relabeled by ``order`` (new vertex i is old ``order[i]``)
     as one int: a bit per vertex pair, pairs in lexicographic order with
@@ -509,65 +493,62 @@ def _decode(n: int, cert: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _twin_automorphisms(n: int, adj_masks: list[int]) -> list[list[int]]:
-    """Transpositions of consecutive members of every twin class.
-
-    Open twins share ``adj_masks``; closed twins share it once their own bit
-    is added.  Swapping two twins is an automorphism, and the transpositions
-    of consecutive members generate every permutation of the class, also
-    after its first members have been individualized."""
-    autos = []
-    for own in (0, 1):  # 1 adds each vertex's own bit: closed twins
-        classes: dict[int, list[int]] = {}
-        for v in range(n):
-            classes.setdefault(adj_masks[v] | own << v, []).append(v)
-        for members in classes.values():
-            for a, b in zip(members, members[1:]):
-                gamma = list(range(n))
-                gamma[a], gamma[b] = b, a
-                autos.append(gamma)
-    return autos
+def _twin_representatives(n: int, adj_masks: list[int]) -> list[int]:
+    """The first vertex of each vertex's twin class.  Open twins share
+    ``adj_masks``, closed twins share it once their own bit is added.  A
+    vertex first in its open class takes the first of its closed class, as
+    no vertex has both kinds: an open twin u and a closed twin w of v would
+    put u in N(w), so in N(v) = N(u)."""
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    twins = []
+    for v in range(n):
+        mask = adj_masks[v]
+        u = opened.setdefault(mask, v)
+        twins.append(u if u != v else closed.setdefault(mask | 1 << v, v))
+    return twins
 
 
 def canonical_encoding(n: int, adj_masks: list[int]) -> int:
     """Canonical certificate from adjacency bitmasks.
 
     Degree partition refinement plus individualization backtracking; the
-    largest ``_certificate`` over all leaves (discrete or homogeneous
-    partitions) is taken, which is labeling-invariant.  All leaves of one
-    graph have the same number of edges, so the largest certificate is the
-    one whose sorted edge tuple (``_decode``) is smallest.
+    largest ``_certificate`` over all leaves is taken, which is
+    labeling-invariant.  All leaves of one graph have the same number of
+    edges, so the largest certificate is the one whose sorted edge tuple
+    (``_decode``) is smallest.
 
-    The tree is pruned by automorphisms: the twin swaps, plus every
-    gamma = best_order o order^-1 met at a leaf whose certificate equals the
-    best so far.  At a node whose individualized vertices are P, a child v
-    is skipped when it shares an orbit with a child already tried, under the
-    automorphisms found so far that fix every vertex of P.  Such an
-    automorphism maps the two child subtrees onto each other: refinement,
-    the target cell and the order of sub-cells depend only on structure, so
-    it maps every node's cells (as sets) to the matching node's cells, and
-    at a leaf the certificate depends only on those sets, since a
-    homogeneous cell's internal order does not change it.  The skipped
-    subtree thus holds the same leaf certificates as one already searched,
-    and the maximum is unchanged.  Until an automorphism is known no orbits
-    are kept."""
+    Twin classes (``_twin_representatives``) serve twice.  On an equitable
+    partition a cell is fully joined or fully disjoint to every cell, itself
+    included, exactly when its members are pairwise twins; a node whose
+    cells lie in twin classes is a leaf, as any cell-respecting bijection is
+    then an automorphism.  And twins not yet individualized share an orbit
+    of the prefix's pointwise stabilizer, so each branching node starts its
+    orbits from the twin classes and merges the automorphisms
+    gamma = best_order o order^-1 of the leaves that tied the best and fix
+    every individualized vertex.  A child sharing an orbit with one already
+    tried is skipped: the automorphism maps the two subtrees onto each
+    other, since refinement, the target cell and the order of sub-cells
+    depend only on structure, so the skipped one holds the same leaf
+    certificates."""
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
     initial = [by_degree[d] for d in sorted(by_degree)]
     initial_masks = [sum(1 << v for v in cell) for cell in initial]
+    twins = _twin_representatives(n, adj_masks)
 
     best = -1
     best_order: list[int] = []
-    autos: list[list[int]] = []  # seeded with the twin swaps at the first branching
+    autos: list[list[int]] = []
 
     def descend(
         cells: list[list[int]], masks: list[int], fixed: list[int], splitters: list[int]
     ) -> None:
-        nonlocal best, best_order, autos
+        nonlocal best, best_order
         cells, masks = _refine(adj_masks, cells, masks, splitters)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None or _cells_homogeneous(adj_masks, cells, masks):
+        if target is None or all(twins[v] == twins[c[0]] for c in cells for v in c):
             order = [v for cell in cells for v in cell]
             cert = _certificate(adj_masks, order)
             if cert > best:
@@ -578,24 +559,21 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> int:
                     gamma[v] = w
                 autos.append(gamma)
             return
-        if not fixed:
-            autos = _twin_automorphisms(n, adj_masks)
         cell, mask = cells[target], masks[target]
-        orbit: list[int] = []  # orbit representative of each vertex
+        # Orbit representative of each vertex; an individualized twin keeps its
+        # class's label, harmless as it is no child and every merged gamma fixes it.
+        orbit = twins[:]
         used = 0  # automorphisms already merged into ``orbit``
         tried: list[int] = []
         for v in cell:
-            if used < len(autos):
-                if not orbit:
-                    orbit = list(range(n))
-                for gamma in autos[used:]:
-                    if all(gamma[p] == p for p in fixed):
-                        for x, y in enumerate(gamma):
-                            a, b = orbit[x], orbit[y]
-                            if a != b:
-                                orbit = [a if o == b else o for o in orbit]
-                used = len(autos)
-            if orbit and any(orbit[v] == orbit[t] for t in tried):
+            for gamma in autos[used:]:
+                if all(gamma[p] == p for p in fixed):
+                    for x, y in enumerate(gamma):
+                        a, b = orbit[x], orbit[y]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            used = len(autos)
+            if any(orbit[v] == orbit[t] for t in tried):
                 continue
             bit = 1 << v
             descend(

@@ -339,20 +339,8 @@ def iter_labeled_graphs(
 def _graphical_positive_multisets(n: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing all-positive graphical degree multisets of length n,
     in descending lexicographic order."""
-
-    def rec(prefix: list[int], remaining: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            d = tuple(prefix)
-            if erdos_gallai(d):
-                yield d
-            return
-        for v in range(min(bound, n - 1), 0, -1):
-            prefix.append(v)
-            yield from rec(prefix, remaining - 1, v)
-            prefix.pop()
-
-    if n >= 1:
-        yield from rec([], n, n - 1)
+    degrees = range(n - 1, 0, -1)
+    return filter(erdos_gallai, itertools.combinations_with_replacement(degrees, n))
 
 
 # -- necessary conditions ------------------------------------------------------------

@@ -103,6 +103,19 @@ def cells_homogeneous(adj_masks: list[int], cells: list[list[int]]) -> bool:
     return True
 
 
+def oracle_twin_representatives(adj_masks: list[int]) -> list[int]:
+    """Each vertex's smallest twin, itself included, found pair by pair:
+    u and v are twins when their open or their closed neighbourhoods, as
+    vertex sets, are equal."""
+    n = len(adj_masks)
+    rows = [{w for w in range(n) if adj_masks[v] >> w & 1} for v in range(n)]
+
+    def twins(u: int, v: int) -> bool:
+        return rows[u] == rows[v] or rows[u] | {u} == rows[v] | {v}
+
+    return [min(u for u in range(n) if twins(u, v)) for v in range(n)]
+
+
 def encode_edges(n: int, adj_masks: list[int], order: list[int]) -> tuple[tuple[int, int], ...]:
     """The graph relabeled by ``order`` (new vertex i is old ``order[i]``)
     as its sorted edge tuple."""

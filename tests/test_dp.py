@@ -275,6 +275,8 @@ class TestFormulas:
         assert lexicographic_formula(Z, Z, P("2x"), 0, 2).is_zero
         with pytest.raises(InconsistentInputsError):
             lexicographic_formula(P("x"), P("x"), P("2x"), 2, 2)
+        with pytest.raises(InconsistentInputsError, match="at least one vertex"):
+            lexicographic_formula(P("x"), Z, Z, 1, n_second=0)
 
     def test_complement(self):
         assert complement_formula(P("x+2x^2+x^3"), P("x^3"), 1, 4) == P("2x")
@@ -282,6 +284,8 @@ class TestFormulas:
         assert complement_formula(P("4x^3"), P("3x^3"), 3, 4).is_zero
         with pytest.raises(InconsistentInputsError):
             complement_formula(P("5x^2"), P("2x^2"), 2, 4)
+        with pytest.raises(InconsistentInputsError, match="at least 1"):
+            complement_formula(Z, Z, 0, n=0)
 
 
 class TestVerifyOperation:

@@ -34,6 +34,8 @@ P3_ISOLATED = "a b\nb c\nz\n"
 # Three coefficient-sum groups, a duplicate and the intransitive 3-cycle of
 # test_poly; its presentation is not plain presentation-key order.
 CHECK_CYCLE = "x^3+2x^2+x, 2x^4+2x, 3x^4+x^2, 2x^4+2x, x^2, 2x^3, x^3+2x^2+x"
+# Passes conditions (a)-(c); its projection (3, 3, 1, 1) is not graphical.
+PROJECTION_FAILS = "x^3+2x, x^3+2x, x^3, x^3"
 
 
 def _invocations() -> dict[str, list[str]]:
@@ -47,6 +49,8 @@ def _invocations() -> dict[str, list[str]]:
                 out[f"realize-{name}-{mode}-w{workers}"] = argv
     out["check-s1"] = ["check", "2x, x^2, x, x, x"]
     out["check-cycle"] = ["check", CHECK_CYCLE]
+    out["check-projection"] = ["check", PROJECTION_FAILS]
+    out["realize-projection"] = ["realize", PROJECTION_FAILS]
     out["classify-5"] = ["classify", "--n", "5"]
     out["classify-5-w2"] = ["classify", "--n", "5", "--workers", "2"]
     out["family-built"] = ["family", "complete_bipartite", "3", "2"]
@@ -70,6 +74,7 @@ def _text_invocations() -> dict[str, list[str]]:
         "family-closed": ["family", "cycle", "5", "--closed-form"],
         "check-s1": ["check", "2x, x^2, x, x, x"],
         "check-cycle": ["check", CHECK_CYCLE],
+        "check-projection": ["check", PROJECTION_FAILS],
         "realize-s4-all": ["realize", S4, "--all"],
         "realize-s4-dot": ["realize", S4, "--dot"],
         "classify-4": ["classify", "--n", "4"],

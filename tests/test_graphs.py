@@ -10,7 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from degpoly import (
+    DegreePoly,
     OpKind,
+    PolySequence,
     SimpleGraph,
     apply_operation,
     canonical_form,
@@ -27,6 +29,7 @@ from degpoly import (
     join,
     lexicographic_product,
     path_graph,
+    realize,
     tensor_product_graph,
 )
 from degpoly import graphs as graphs_mod
@@ -42,6 +45,7 @@ from degpoly.graphs import FAMILY_MAX_N
 from helpers import (
     all_graphs,
     brute_min_mask,
+    cells_homogeneous,
     degree_multiset,
     degree_partition,
     extends_to_automorphism,
@@ -51,6 +55,7 @@ from helpers import (
     oracle_from_edge_list,
     oracle_refine,
     oracle_streaming_from_edge_list,
+    oracle_twin_representatives,
     paw_graph,
 )
 
@@ -60,6 +65,16 @@ def graphs_st(draw, min_n=1, max_n=6):
     n = draw(st.integers(min_n, max_n))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     return mask_graph(n, mask)
+
+
+# Products of two small graphs keep cells of several vertices two levels
+# down, where most random graphs are already discrete.
+products_st = st.builds(
+    apply_operation,
+    st.sampled_from(["cartesian", "tensor", "lexicographic"]),
+    graphs_st(min_n=2, max_n=4),
+    graphs_st(min_n=2, max_n=3),
+)
 
 
 class TestEdgeList:
@@ -190,6 +205,22 @@ class TestEdgeList:
             g.vertex_index(9)
 
 
+class TestFromEdges:
+    def test_vertex_out_of_range(self):
+        with pytest.raises(BadVertexError, match=r"edge \(0, 3\) outside 0..2"):
+            SimpleGraph.from_edges(3, [(0, 1), (0, 3)])
+
+    def test_self_loop(self):
+        with pytest.raises(SelfLoopError, match="self-loop at vertex b"):
+            SimpleGraph.from_edges(3, [(0, 1), (1, 1)], "abc")
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError, match="inconsistent graph fields"):
+            SimpleGraph(2, ("a",), (frozenset(), frozenset()))
+        with pytest.raises(ValueError, match="inconsistent graph fields"):
+            SimpleGraph.from_edges(3, [(0, 1)], "ab")
+
+
 class TestFamilies:
     def test_cycle(self):
         g = cycle_graph(5)
@@ -210,6 +241,8 @@ class TestFamilies:
             complete_graph(0)
         with pytest.raises(BadParamsError):
             complete_bipartite_graph(2, 3)
+        with pytest.raises(BadParamsError, match="n >= 0, got -1"):
+            empty_graph(-1)
 
     def test_order_bound(self):
         assert cycle_graph(FAMILY_MAX_N).n == FAMILY_MAX_N
@@ -515,11 +548,13 @@ class TestRefine:
         assert refined_masks == list(map(mask, refined))
         return refined
 
-    def individualized(self, data, adj_masks, depth):
+    @staticmethod
+    def individualized(data, adj_masks, depth):
         """A node ``depth`` individualizations below the root of the search
         tree, as (cells, splitters) before refinement, its ancestors refined
         by ``oracle_refine``; None if a partition on the way is discrete."""
         cells = degree_partition(adj_masks)
+        splitters = cells[:-1]
         for _ in range(depth):
             cells = oracle_refine(adj_masks, cells)
             targets = [i for i, c in enumerate(cells) if len(c) > 1]
@@ -528,7 +563,8 @@ class TestRefine:
             i = data.draw(st.sampled_from(targets))
             v = data.draw(st.sampled_from(cells[i]))
             cells = cells[:i] + [[v], [w for w in cells[i] if w != v]] + cells[i + 1 :]
-        return cells, [[v]]
+            splitters = [[v]]
+        return cells, splitters
 
     def test_equals_oracle_on_degree_partitions(self):
         for n in range(1, 7):
@@ -548,21 +584,75 @@ class TestRefine:
 
     @given(st.data())
     def test_equals_oracle_after_individualizing_twice(self, data):
-        # Products of two small graphs keep cells of several vertices two
-        # levels down, where most random graphs are already discrete.
-        product = st.builds(
-            apply_operation,
-            st.sampled_from(["cartesian", "tensor", "lexicographic"]),
-            graphs_st(min_n=2, max_n=4),
-            graphs_st(min_n=2, max_n=3),
-        )
-        g = data.draw(st.one_of(graphs_st(min_n=3, max_n=12), product))
+        g = data.draw(st.one_of(graphs_st(min_n=3, max_n=12), products_st))
         masks = self.masks(g)
         node = self.individualized(data, masks, 2)
         if node is not None:
             grandchild, splitters = node
             want = oracle_refine(masks, grandchild)
             assert self.refine(masks, grandchild, splitters) == want
+
+
+def refined_nodes(adj_masks, cells, depth):
+    """Every node of the unpruned search tree down to ``depth``
+    individualizations below ``cells``, refined by ``oracle_refine``."""
+    cells = oracle_refine(adj_masks, cells)
+    yield cells
+    target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if depth and target is not None:
+        cell = cells[target]
+        for v in cell:
+            child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
+            yield from refined_nodes(adj_masks, child, depth - 1)
+
+
+def within_twin_classes(adj_masks, cells) -> bool:
+    """``canonical_encoding``'s leaf test: every cell lies in one twin class."""
+    twins = graphs_mod._twin_representatives(len(adj_masks), adj_masks)
+    return all(twins[v] == twins[c[0]] for c in cells for v in c)
+
+
+class TestTwinClasses:
+    """On an equitable partition, every cell is homogeneous toward every
+    cell exactly when each cell lies in one twin class."""
+
+    def test_representatives_equal_pairwise_oracle_exhaustive(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                masks = TestRefine.masks(g)
+                got = graphs_mod._twin_representatives(n, masks)
+                assert got == oracle_twin_representatives(masks), g.edges()
+
+    @given(st.one_of(graphs_st(max_n=12), products_st))
+    @example(both_twin_kinds())
+    def test_representatives_equal_pairwise_oracle(self, g):
+        masks = TestRefine.masks(g)
+        assert graphs_mod._twin_representatives(g.n, masks) == oracle_twin_representatives(masks)
+
+    def test_homogeneous_iff_within_twin_classes_exhaustive(self):
+        # Both tests are labeling-invariant, and so is the set of nodes up to
+        # relabeling, so one labeling per isomorphism class covers every graph
+        # (OEIS A000088 counts the classes).
+        seen = set()
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                masks = TestRefine.masks(g)
+                cert = graphs_mod.canonical_encoding(n, masks)
+                if (n, cert) in seen:
+                    continue
+                seen.add((n, cert))
+                for cells in refined_nodes(masks, degree_partition(masks), 2):
+                    assert cells_homogeneous(masks, cells) == within_twin_classes(masks, cells)
+        assert len(seen) == 1 + 2 + 4 + 11 + 34 + 156
+
+    @given(st.data())
+    def test_homogeneous_iff_within_twin_classes(self, data):
+        g = data.draw(st.one_of(graphs_st(max_n=12), products_st))
+        masks = TestRefine.masks(g)
+        node = TestRefine.individualized(data, masks, data.draw(st.integers(0, 2)))
+        if node is not None:
+            cells = oracle_refine(masks, node[0])
+            assert cells_homogeneous(masks, cells) == within_twin_classes(masks, cells)
 
 
 @st.composite
@@ -735,6 +825,44 @@ class TestCanonicalForm:
         else:
             g = SYMMETRIC_16["Shrikhande"].relabel(SHRIKHANDE_LABELING)
         assert unsearched_stabilizer_orbit(g) is None
+
+
+def search_work(run) -> tuple[int, int]:
+    """The ``_refine`` calls and the leaves (``_certificate`` calls) of the
+    canonical-labeling searches that ``run()`` makes."""
+    counts = [0, 0]
+
+    def counting(i, real):
+        def wrapper(*args):
+            counts[i] += 1
+            return real(*args)
+        return wrapper
+
+    with mock.patch.object(graphs_mod, "_refine", counting(0, graphs_mod._refine)):
+        with mock.patch.object(
+            graphs_mod, "_certificate", counting(1, graphs_mod._certificate)
+        ):
+            run()
+    return counts[0], counts[1]
+
+
+class TestSearchWork:
+    """Upper bounds on the canonical-labeling search tree, so that a change
+    to pruning shows its tree size here and not only in timings."""
+
+    def test_symmetric_order_16(self):
+        refines, leaves = search_work(
+            lambda: [canonical_form(g) for g in SYMMETRIC_16.values()]
+        )
+        assert refines <= 427 and leaves <= 186
+
+    def test_regular_sequences_realized(self):
+        # n x r*x^r, the sequences of perfbench's realize-symmetric workload,
+        # each searched for every class.
+        cases = ((7, 2), (7, 4), (6, 1), (6, 2), (6, 3), (6, 4))
+        seqs = [PolySequence.from_polys([DegreePoly({r: r})] * n) for n, r in cases]
+        refines, leaves = search_work(lambda: [realize(s) for s in seqs])
+        assert refines <= 103 and leaves <= 59
 
 
 class TestRelabel:

@@ -382,6 +382,8 @@ class TestExponentTransforms:
     def test_reflect_bound(self):
         with pytest.raises(DegreeBoundError):
             reflect_exponents(P("x^4"), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reflect_exponents(P("x"), -1)
 
     @given(nonzero_polys, st.integers(0, 4))
     def test_reflect_involution(self, f, slack):
@@ -421,7 +423,15 @@ class TestTextFormat:
             with pytest.raises(PolyParseError) as exc:
                 parse_poly(text)
             assert exc.value.position == position
+        # An exponent needs its caret.
+        with pytest.raises(PolyParseError, match="unexpected character '3'") as exc:
+            parse_poly("2x3")
+        assert exc.value.position == 2
 
     @given(nonzero_polys)
     def test_roundtrip(self, f):
         assert parse_poly(format_poly(f)) == f
+
+    @given(nonzero_polys)
+    def test_repr_evaluates_to_an_equal_poly(self, f):
+        assert eval(repr(f)) == f

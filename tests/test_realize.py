@@ -111,6 +111,10 @@ class TestErdosGallai:
         with pytest.raises(NotSortedError):
             erdos_gallai((1, 2))
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            erdos_gallai((1, 1, -1))
+
     @example([59] * 60)
     @example([1] * 60)
     @settings(max_examples=400)
