@@ -157,8 +157,9 @@ def _load_entries(arg: str) -> list[DegreePoly]:
 
 def _emit(out: dict | list[str]) -> None:
     """Print a structured object as one JSON line, or text lines as they are.
-    A structured object is a fresh ``to_dict()`` tree, never cyclic, so the
-    encoder skips its cycle check."""
+    A structured object is a ``to_dict()`` tree, which may share the
+    library's immutable tuples but is never cyclic, so the encoder skips its
+    cycle check."""
     if isinstance(out, dict):
         print(json.dumps(out, separators=(",", ":"), check_circular=False))
     else:
@@ -166,11 +167,17 @@ def _emit(out: dict | list[str]) -> None:
 
 
 def _cmd_dp(args) -> int:
+    _emit(_dp_output(args))
+    return EXIT_OK
+
+
+def _dp_output(args) -> dict | list[str]:
+    """What ``dp`` prints.  The graph and its report die on return, so they
+    are freed before ``_emit`` encodes."""
     g = _load_graph(args.graph)
     report = dp_report(g)
     if args.format == "structured":
-        _emit({"command": "dp", **report.to_dict()})
-        return EXIT_OK
+        return {"command": "dp", **report.to_dict()}
     shown = {p: format_poly(p) for p in set(report.vertex_polys)}
     lines = [
         f"vertex {label}: degree {len(row)}, dp = {shown[p]}"
@@ -184,8 +191,7 @@ def _cmd_dp(args) -> int:
     else:
         isolated = ", ".join(g.labels[v] for v in g.isolated_vertices())
         lines.append(f"sequence: unavailable (isolated vertices: {isolated})")
-    _emit(lines)
-    return EXIT_OK
+    return lines
 
 
 def _cmd_family(args) -> int:
@@ -212,30 +218,38 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_op(args) -> int:
+    out, ok = _op_output(args)
+    _emit(out)
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+def _op_output(args) -> tuple[dict | list[str], bool]:
+    """What ``op`` prints, and False if a vertex disagrees with its closed
+    form.  Every graph and the check die on return, so they are freed before
+    ``_emit`` encodes."""
     op = OpKind(args.kind)
     g = _load_graph(args.graph1)
     h = None if args.graph2 is None else _load_graph(args.graph2)
 
     check = verify_operation(op, g, h) if args.verify else None
     result = check.result if check else graphs.apply_operation(op, g, h)
+    ok = check is None or check.ok
 
     if args.format == "structured":
+        verify = {} if check is None else {"verify": check.to_dict()}
+        check = None  # frees the polynomials before the result graph is encoded
         obj = {"command": "op", "kind": op.value, "result": result.to_dict()}
-        if check is not None:
-            obj["verify"] = check.to_dict()
-        _emit(obj)
+        return {**obj, **verify}, ok
+    lines = [f"result: {result.n} vertices, {result.edge_count} edges"]
+    if args.dot:
+        lines.append(emit_dot(result).rstrip("\n"))
     else:
-        lines = [f"result: {result.n} vertices, {result.edge_count} edges"]
-        if args.dot:
-            lines.append(emit_dot(result).rstrip("\n"))
-        else:
-            labels = result.labels
-            lines.extend(f"{labels[u]} {labels[v]}" for u, v in result.edges())
-        if check is not None:
-            matched = sum(1 for c in check.checks if c.match)
-            lines.append(f"{matched}/{check.vertices_checked} vertices match formula")
-        _emit(lines)
-    return EXIT_NEGATIVE if check is not None and not check.ok else EXIT_OK
+        labels = result.labels
+        lines.extend(f"{labels[u]} {labels[v]}" for u, v in result.edges())
+    if check is not None:
+        matched = sum(1 for c in check.checks if c.match)
+        lines.append(f"{matched}/{check.vertices_checked} vertices match formula")
+    return lines, ok
 
 
 def _condition_lines(report) -> list[str]:

@@ -32,6 +32,7 @@ from .poly import (
     parse_poly,
     reflect_exponents,
     scale_exponents,
+    shift_exponents,
     sort_polys_desc,
     tensor_product,
 )
@@ -223,8 +224,9 @@ def join_formula(
             "the vertex's own join factor must have at least one vertex"
         )
     _expect_sum(other_graph_poly, n_other, "other factor's graph polynomial")
-    x = DegreePoly.monomial
-    return x(n_other) * vertex_poly + x(n_own) * other_graph_poly
+    return (
+        shift_exponents(vertex_poly, n_other) + shift_exponents(other_graph_poly, n_own)
+    )
 
 
 def cartesian_formula(
@@ -234,8 +236,7 @@ def cartesian_formula(
     x^deg(u) * dp(v) + x^deg(v) * dp(u)."""
     _expect_sum(poly_u, deg_u, "first vertex polynomial")
     _expect_sum(poly_v, deg_v, "second vertex polynomial")
-    x = DegreePoly.monomial
-    return x(deg_u) * poly_v + x(deg_v) * poly_u
+    return shift_exponents(poly_v, deg_u) + shift_exponents(poly_u, deg_v)
 
 
 def tensor_formula(poly_u: DegreePoly, poly_v: DegreePoly) -> DegreePoly:
@@ -257,8 +258,7 @@ def lexicographic_formula(
     _expect_sum(poly_u, deg_u, "first-factor vertex polynomial")
     _expect_sum(second_graph_poly, n_second, "second factor's graph polynomial")
     scaled = scale_exponents(poly_u, n_second)
-    shift = DegreePoly.monomial(deg_u * n_second)
-    return scaled * second_graph_poly + shift * poly_v
+    return scaled * second_graph_poly + shift_exponents(poly_v, deg_u * n_second)
 
 
 def complement_formula(

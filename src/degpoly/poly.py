@@ -8,8 +8,8 @@ since the presentation order reads it first on every comparison.
 
 The module also carries the comparison used to present degree-polynomial
 sequences non-increasingly, the tensor product (which multiplies exponents
-instead of adding them), and the two exponent transforms (scaling and
-reflection) needed by the graph-operation formulas.
+instead of adding them), and the three exponent transforms (scaling,
+reflection and shift) needed by the graph-operation formulas.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ class DegreePoly:
     def terms(self) -> dict[int, int]:
         return dict(self._pairs)
 
-    def to_pairs(self) -> list[list[int]]:
-        """Structured encoding: [exponent, coefficient] pairs, descending."""
-        return [[e, c] for e, c in self._pairs]
+    def to_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Structured encoding: the stored (exponent, coefficient) pairs,
+        descending, which JSON writes as ``[[exponent, coefficient], ...]``."""
+        return self._pairs
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self._pairs)
@@ -344,6 +345,19 @@ def scale_exponents(f: DegreePoly, n: int) -> DegreePoly:
     if not isinstance(n, int):
         raise TypeError(f"scale factor must be an integer, got {n!r}")
     return DegreePoly._from_counts({e * n: c for e, c in f})
+
+
+def shift_exponents(f: DegreePoly, k: int) -> DegreePoly:
+    """Map every exponent i to i+k, keeping coefficients: x^k * f.  The
+    order of the pairs is kept, so they are stored without a sort."""
+    if k < 0:
+        raise ValueError(f"shift must be nonnegative, got {k}")
+    if not isinstance(k, int):
+        raise TypeError(f"shift must be an integer, got {k!r}")
+    out = object.__new__(DegreePoly)
+    out._pairs = tuple([(e + k, c) for e, c in f._pairs])
+    out._total = f._total
+    return out
 
 
 def reflect_exponents(f: DegreePoly, n: int) -> DegreePoly:

@@ -41,6 +41,12 @@ def all_graphs(n: int):
         yield mask_graph(n, mask)
 
 
+def oracle_edges(g: SimpleGraph) -> tuple[tuple[int, int], ...]:
+    """Every edge (u, v) with u < v, sorted: each sorted row filtered by
+    v > u, one comparison per neighbour."""
+    return tuple((u, v) for u, row in enumerate(g.adj) for v in sorted(row) if v > u)
+
+
 def brute_min_mask(n: int, mask: int) -> int:
     """Isomorphism-class key by trying every permutation: the minimum
     edge bitmask over all relabelings.  Independent of canonical_form."""

@@ -1,13 +1,31 @@
 """CLI behavior: subcommands, exit codes, output determinism."""
 
+import gc
 import itertools
 import json
 import time
+import weakref
 
 import pytest
 
-from degpoly import canonical_form, complete_graph, from_edge_list, realizability
+from degpoly import (
+    DpReport,
+    OpKind,
+    OperationCheck,
+    PolySequence,
+    SimpleGraph,
+    canonical_form,
+    cli,
+    complete_graph,
+    dp_report,
+    from_edge_list,
+    parse_poly,
+    realizability,
+    realize,
+    verify_operation,
+)
 from degpoly.cli import main
+from degpoly.dp import VertexCheck
 
 PAW_EDGES = "a b\na c\nb c\nc d\n"
 K40 = "".join(f"a{u} a{v}\n" for u, v in itertools.combinations(range(40), 2))
@@ -164,6 +182,107 @@ class TestOp:
         doc = json.loads(out)
         assert doc["verify"]["ok"] is True
         assert doc["verify"]["vertices_checked"] == 4
+
+
+def recording(init, made: list):
+    """``init`` that also appends a weak reference to each new instance."""
+
+    def wrapper(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    return wrapper
+
+
+class TestReleaseBeforeEmit:
+    """``dp`` and ``op`` free every graph, report and check they made before
+    ``_emit`` encodes, by reference counting alone, and ``op`` frees its
+    check before it encodes the result graph."""
+
+    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param(["dp", PAW_EDGES + "e\n"], id="dp")]
+        + [
+            pytest.param(["op", kind, PAW_EDGES, "x y\ny z", "--verify"], id=f"op-{kind}")
+            for kind in ("join", "cartesian", "tensor", "lexicographic")
+        ]
+        + [pytest.param(["op", "complement", PAW_EDGES, "--verify"], id="op-complement")],
+    )
+    def test_nothing_large_alive_on_emit(self, capsys, monkeypatch, argv, fmt):
+        made = {cls: [] for cls in (SimpleGraph, DpReport, OperationCheck)}
+        for cls, refs in made.items():
+            monkeypatch.setattr(cls, "__init__", recording(cls.__init__, refs))
+        alive_on_emit, checks_on_encode = [], []
+
+        def alive(cls):
+            return [cls.__name__ for r in made[cls] if r() is not None]
+
+        def checking_emit(out, emit=cli._emit):
+            alive_on_emit.append(alive(SimpleGraph) + alive(DpReport) + alive(OperationCheck))
+            emit(out)
+
+        def checking_to_dict(self, to_dict=SimpleGraph.to_dict):
+            checks_on_encode.extend(alive(OperationCheck))
+            return to_dict(self)
+
+        monkeypatch.setattr(cli, "_emit", checking_emit)
+        monkeypatch.setattr(SimpleGraph, "to_dict", checking_to_dict)
+        gc.disable()
+        try:
+            code = main(["--format", fmt, *argv])
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert code == 0
+        assert alive_on_emit == [[]]
+        assert checks_on_encode == []
+        assert made[SimpleGraph] and (made[DpReport] or made[OperationCheck])
+
+
+def listed(obj):
+    """``obj`` with every tuple made a list, recursively."""
+    if isinstance(obj, dict):
+        return {key: listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(item) for item in obj]
+    return obj
+
+
+PAW = from_edge_list(PAW_EDGES + "e\n").graph
+P3 = from_edge_list("x y\ny z").graph
+TWO_CLASSES = PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
+UNREALIZABLE = PolySequence.parse("3x^2, 2x^2, 2x^2, 2x^2, x^2")
+
+
+class TestStructuredEncoding:
+    """``to_dict()`` trees share the library's tuples; their JSON is the
+    JSON of the same tree built from lists."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: PAW, id="graph"),
+            pytest.param(lambda: dp_report(PAW), id="dp-report-isolated"),
+            pytest.param(lambda: dp_report(complete_graph(4)), id="dp-report"),
+            pytest.param(lambda: verify_operation("lexicographic", P3, P3), id="op-check"),
+            pytest.param(
+                lambda: OperationCheck(
+                    OpKind.JOIN, P3, (VertexCheck("x", parse_poly("x"), parse_poly("2x^2+1")),)
+                ),
+                id="op-check-mismatch",
+            ),
+            pytest.param(lambda: canonical_form(PAW), id="canonical-form"),
+            pytest.param(lambda: realize(TWO_CLASSES, want_all_witnesses=True), id="realize"),
+            pytest.param(lambda: realize(UNREALIZABLE), id="unrealizable"),
+        ],
+    )
+    def test_encodes_as_lists(self, build):
+        tree = build().to_dict()
+        compact = (",", ":")
+        encoded = json.dumps(tree, separators=compact, check_circular=False)
+        assert encoded == json.dumps(listed(tree), separators=compact)
+        assert json.loads(encoded) == listed(tree)
 
 
 class TestCheck:

@@ -354,5 +354,5 @@ class TestDpReport:
         rep = dp_report(empty_graph(2))
         assert rep.sequence is None
         d = rep.to_dict()
-        assert d["graph_dp"] == [[0, 2]]
+        assert d["graph_dp"] == ((0, 2),)
         assert d["sequence"] is None

@@ -51,6 +51,7 @@ from helpers import (
     extends_to_automorphism,
     mask_graph,
     oracle_apply_operation,
+    oracle_edges,
     oracle_canonical_encoding,
     oracle_from_edge_list,
     oracle_refine,
@@ -75,6 +76,37 @@ products_st = st.builds(
     graphs_st(min_n=2, max_n=4),
     graphs_st(min_n=2, max_n=3),
 )
+
+
+@st.composite
+def sparse_graphs_st(draw, max_n=40):
+    """Graphs of order 0 to max_n with up to 2n random edges, so that many
+    vertices are isolated or have neighbours on one side of their index."""
+    n = draw(st.integers(0, max_n))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    return SimpleGraph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+class TestEdges:
+    """``edges()`` and the structured edge list against the one-comparison-
+    per-neighbour oracle."""
+
+    def test_every_graph_up_to_order_five(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                expected = oracle_edges(g)
+                assert g.edges() == expected
+                assert g.to_dict()["edges"] == expected
+
+    @given(sparse_graphs_st())
+    # Vertex 4's neighbours all lie below it and 0-2's above; 3 and 5 are isolated.
+    @example(SimpleGraph.from_edges(6, [(0, 4), (1, 4), (2, 4)]))
+    @example(SimpleGraph.from_edges(5, [(0, 3), (0, 4), (3, 4)]))
+    def test_random_graphs_up_to_order_forty(self, g):
+        expected = oracle_edges(g)
+        assert g.edges() == expected
+        assert g.to_dict()["edges"] == expected
 
 
 class TestEdgeList:

@@ -27,7 +27,7 @@ from degpoly.errors import (
     PolyParseError,
     ZeroOperandError,
 )
-from degpoly.poly import presentation_key
+from degpoly.poly import presentation_key, shift_exponents
 from helpers import (
     assert_checked_form,
     model_mul,
@@ -115,7 +115,7 @@ class TestConstruction:
 
     def test_pairs_roundtrip(self):
         f = P("x^3+2x^2")
-        assert f.to_pairs() == [[3, 1], [2, 2]]
+        assert f.to_pairs() == ((3, 1), (2, 2))
         assert DegreePoly.from_pairs(f.to_pairs()) == f
 
 
@@ -335,12 +335,15 @@ class TestTrustedConstruction:
         assert_checked_form(scale_exponents(f, factor))
         bound = (f.degree if f else 0) + slack
         assert_checked_form(reflect_exponents(f, bound))
+        assert_checked_form(shift_exponents(f, slack))
 
     def test_transforms_reject_non_integer_factors(self):
         with pytest.raises(TypeError):
             scale_exponents(P("x"), 2.0)
         with pytest.raises(TypeError):
             reflect_exponents(P("x"), 3.0)
+        with pytest.raises(TypeError):
+            shift_exponents(P("x"), 1.0)
 
 
 class TestTensor:
@@ -389,6 +392,15 @@ class TestExponentTransforms:
     def test_reflect_involution(self, f, slack):
         n = f.degree + slack
         assert reflect_exponents(reflect_exponents(f, n), n) == f
+
+    @given(polys, st.integers(0, 400))
+    def test_shift_is_multiplying_by_a_monomial(self, f, k):
+        assert shift_exponents(f, k) == DegreePoly.monomial(k) * f
+
+    def test_shift_requires_nonnegative(self):
+        assert shift_exponents(P("2x^2+1"), 3) == P("2x^5+x^3")
+        with pytest.raises(ValueError, match="nonnegative"):
+            shift_exponents(P("x"), -1)
 
 
 class TestTextFormat:
