@@ -15,7 +15,9 @@ single JSON object.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -247,7 +249,7 @@ def _op_output(args) -> tuple[dict | list[str], bool]:
         labels = result.labels
         lines.extend(f"{labels[u]} {labels[v]}" for u, v in result.edges())
     if check is not None:
-        matched = sum(1 for c in check.checks if c.match)
+        matched = check.vertices_checked - len(check.mismatches)
         lines.append(f"{matched}/{check.vertices_checked} vertices match formula")
     return lines, ok
 
@@ -342,14 +344,36 @@ _HANDLERS = {
 }
 
 
+# Commands whose graphs, polynomials and ``to_dict()`` trees are all acyclic,
+# so reference counting frees everything they make and a collection during
+# them finds nothing.  The searches of ``check``, ``realize`` and ``classify``
+# keep the collector.
+_ACYCLIC = frozenset({"dp", "family", "op"})
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic collector disabled, then restore the
+    caller's state: a caller that had it disabled keeps it disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    paused = _collector_paused if args.command in _ACYCLIC else contextlib.nullcontext
     try:
-        return _HANDLERS[args.command](args)
+        with paused():
+            return _HANDLERS[args.command](args)
     except DegpolyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import graphs
@@ -31,7 +32,6 @@ from .poly import (
     coeff_sum,
     parse_poly,
     reflect_exponents,
-    scale_exponents,
     shift_exponents,
     sort_polys_desc,
     tensor_product,
@@ -213,6 +213,13 @@ def _expect_sum(poly: DegreePoly, expected: int, what: str) -> None:
         )
 
 
+def _expect_int(value, what: str) -> None:
+    """Exponents are exact integers: an order or degree that passes
+    ``_expect_sum`` as a float (``2.0 == 2``) still raises TypeError."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def join_formula(
     vertex_poly: DegreePoly, other_graph_poly: DegreePoly, n_own: int, n_other: int
 ) -> DegreePoly:
@@ -236,7 +243,13 @@ def cartesian_formula(
     x^deg(u) * dp(v) + x^deg(v) * dp(u)."""
     _expect_sum(poly_u, deg_u, "first vertex polynomial")
     _expect_sum(poly_v, deg_v, "second vertex polynomial")
-    return shift_exponents(poly_v, deg_u) + shift_exponents(poly_u, deg_v)
+    _expect_int(deg_u, "first degree")
+    _expect_int(deg_v, "second degree")
+    out = {e + deg_u: c for e, c in poly_v._pairs}
+    for e, c in poly_u._pairs:
+        e += deg_v
+        out[e] = out.get(e, 0) + c
+    return DegreePoly._from_counts(out)
 
 
 def tensor_formula(poly_u: DegreePoly, poly_v: DegreePoly) -> DegreePoly:
@@ -257,8 +270,20 @@ def lexicographic_formula(
         raise InconsistentInputsError("second factor must have at least one vertex")
     _expect_sum(poly_u, deg_u, "first-factor vertex polynomial")
     _expect_sum(second_graph_poly, n_second, "second factor's graph polynomial")
-    scaled = scale_exponents(poly_u, n_second)
-    return scaled * second_graph_poly + shift_exponents(poly_v, deg_u * n_second)
+    _expect_int(n_second, "second factor's order")
+    _expect_int(deg_u, "first-factor degree")
+    out: dict[int, int] = {}
+    h_pairs = second_graph_poly._pairs
+    for eu, cu in poly_u._pairs:
+        eu *= n_second
+        for eh, ch in h_pairs:
+            e = eu + eh
+            out[e] = out.get(e, 0) + cu * ch
+    shift = deg_u * n_second
+    for e, c in poly_v._pairs:
+        e += shift
+        out[e] = out.get(e, 0) + c
+    return DegreePoly._from_counts(out)
 
 
 def complement_formula(
@@ -300,10 +325,12 @@ class OperationCheck:
 
     @property
     def ok(self) -> bool:
-        return all(c.match for c in self.checks)
+        return not self.mismatches
 
-    @property
+    @cached_property
     def mismatches(self) -> tuple[VertexCheck, ...]:
+        """The checks that disagree, found once: ``ok``, ``to_dict()`` and
+        the CLI all read them."""
         return tuple(c for c in self.checks if not c.match)
 
     def to_dict(self) -> dict:

@@ -228,12 +228,12 @@ def compare_polys(f: DegreePoly, g: DegreePoly) -> int:
     the first unequal coefficient at a shared exponent decides at once, and
     the first exponent met in only one polynomial decides if none does.
     """
-    if f.is_zero or g.is_zero:
+    fp, gp = f._pairs, g._pairs
+    if not fp or not gp:
         raise ZeroOperandError("comparison is undefined for the zero polynomial")
     sf, sg = f._total, g._total
     if sf != sg:
         return LESS if sf < sg else GREATER
-    fp, gp = f._pairs, g._pairs
     nf, ng = len(fp), len(gp)
     i = j = 0
     only = EQUAL  # decision of the first exponent present in one polynomial

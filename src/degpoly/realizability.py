@@ -299,7 +299,10 @@ def _iter_adj(
                 adj[v].pop()
             del row[len(row) - k :]
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # it refers to itself through its closure cell, even if stopped early
 
 
 def _vertex_key(

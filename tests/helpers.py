@@ -11,14 +11,16 @@ from collections import Counter, defaultdict
 from typing import Optional
 
 from degpoly import DegreePoly, PolySequence, SimpleGraph, canonical_form
+from degpoly.dp import _expect_sum
 from degpoly.errors import (
     EdgeListFormatError,
     EmptyInputError,
+    InconsistentInputsError,
     SelfLoopError,
     ZeroOperandError,
 )
 from degpoly.graphs import EdgeListResult, OpKind
-from degpoly.poly import presentation_key
+from degpoly.poly import presentation_key, scale_exponents, shift_exponents
 from degpoly.realizability import (
     RealizabilityReport,
     _twin_prefix_rows,
@@ -210,6 +212,34 @@ def extends_to_automorphism(g: SimpleGraph, partial: dict[int, int]) -> bool:
 def naive_vertex_poly(g: SimpleGraph, v: int) -> DegreePoly:
     """Vertex degree polynomial straight from the definition."""
     return DegreePoly(Counter(len(g.adj[w]) for w in g.adj[v]))
+
+
+def oracle_cartesian_formula(
+    poly_u: DegreePoly, poly_v: DegreePoly, deg_u: int, deg_v: int
+) -> DegreePoly:
+    """x^deg(u) * dp(v) + x^deg(v) * dp(u), composed from the exponent
+    transforms, with the argument checks of each step."""
+    _expect_sum(poly_u, deg_u, "first vertex polynomial")
+    _expect_sum(poly_v, deg_v, "second vertex polynomial")
+    return shift_exponents(poly_v, deg_u) + shift_exponents(poly_u, deg_v)
+
+
+def oracle_lexicographic_formula(
+    poly_u: DegreePoly,
+    poly_v: DegreePoly,
+    second_graph_poly: DegreePoly,
+    deg_u: int,
+    n_second: int,
+) -> DegreePoly:
+    """(dp(u) with exponents scaled by |H|) * dp(H) + x^(deg(u)*|H|) * dp(v),
+    composed from the exponent transforms, with the argument checks of each
+    step."""
+    if n_second < 1:
+        raise InconsistentInputsError("second factor must have at least one vertex")
+    _expect_sum(poly_u, deg_u, "first-factor vertex polynomial")
+    _expect_sum(second_graph_poly, n_second, "second factor's graph polynomial")
+    scaled = scale_exponents(poly_u, n_second)
+    return scaled * second_graph_poly + shift_exponents(poly_v, deg_u * n_second)
 
 
 def paw_graph() -> SimpleGraph:

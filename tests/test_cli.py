@@ -184,6 +184,62 @@ class TestOp:
         assert doc["verify"]["vertices_checked"] == 4
 
 
+class TestCollectorState:
+    """``main`` leaves the cyclic collector as it found it, on success and
+    on every exit-1 path."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["dp", PAW_EDGES], id="dp"),
+            pytest.param(["family", "cycle", "5"], id="family"),
+            pytest.param(["family", "cycle", "5", "--closed-form"], id="family-closed"),
+            pytest.param(["op", "lexicographic", PAW_EDGES, "x y", "--verify"], id="op"),
+            pytest.param(["op", "tensor", edgeless(400), edgeless(400)], id="op-too-large"),
+            pytest.param(["op", "join", "a b c", "x y"], id="op-bad-edge-list"),
+            pytest.param(["dp", "a a"], id="dp-self-loop"),
+            pytest.param(["family", "cycle", "2"], id="family-bad-params"),
+            pytest.param(["op", "tensor", "a b", "--frobnicate"], id="usage-error"),
+        ],
+    )
+    def test_state_restored(self, capsys, argv, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            main(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert after is enabled
+
+    @pytest.mark.parametrize(
+        "argv, paused",
+        [
+            (["dp", PAW_EDGES], True),
+            (["family", "cycle", "5"], True),
+            (["op", "cartesian", PAW_EDGES, "x y", "--verify"], True),
+            (["check", "2x, x^2, x, x, x"], False),
+            (["realize", "x, x"], False),
+            (["classify", "--n", "2"], False),
+        ],
+    )
+    def test_paused_only_for_acyclic_commands(self, capsys, monkeypatch, argv, paused):
+        seen = []
+
+        def recording_emit(out, emit=cli._emit):
+            seen.append(gc.isenabled())
+            emit(out)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        assert gc.isenabled()
+        main(argv)
+        capsys.readouterr()
+        assert seen == [not paused]
+        assert gc.isenabled()
+
+
 def recording(init, made: list):
     """``init`` that also appends a weak reference to each new instance."""
 

@@ -40,7 +40,14 @@ from degpoly.errors import (
     IsolatedVertexError,
     ZeroEntryError,
 )
-from helpers import assert_checked_form, paw_graph, mask_graph, naive_vertex_poly
+from helpers import (
+    assert_checked_form,
+    mask_graph,
+    naive_vertex_poly,
+    oracle_cartesian_formula,
+    oracle_lexicographic_formula,
+    paw_graph,
+)
 
 P = parse_poly
 Z = DegreePoly.zero()
@@ -286,6 +293,64 @@ class TestFormulas:
             complement_formula(P("5x^2"), P("2x^2"), 2, 4)
         with pytest.raises(InconsistentInputsError, match="at least 1"):
             complement_formula(Z, Z, 0, n=0)
+
+
+small_polys = st.dictionaries(st.integers(0, 8), st.integers(1, 4), max_size=4).map(DegreePoly)
+
+
+def order_of(p: DegreePoly):
+    """The order or degree argument a formula expects for ``p``, that value
+    as a float, or any small integer (negative and zero included)."""
+    total = coeff_sum(p)
+    return st.sampled_from([total, float(total)]) | st.integers(-2, 12)
+
+
+def outcome(formula, *args):
+    """The polynomial ``formula`` returns, or the type of what it raises."""
+    try:
+        return formula(*args)
+    except (TypeError, ValueError, InconsistentInputsError) as exc:
+        return type(exc)
+
+
+class TestFusedFormulas:
+    """The Cartesian and lexicographic formulas accumulate into one dict;
+    they equal the composition of exponent transforms they replaced, and
+    raise the same error types on the same arguments."""
+
+    @given(st.data())
+    def test_cartesian_equals_composition(self, data):
+        pu, pv = data.draw(small_polys), data.draw(small_polys)
+        args = (pu, pv, data.draw(order_of(pu)), data.draw(order_of(pv)))
+        got = outcome(cartesian_formula, *args)
+        assert got == outcome(oracle_cartesian_formula, *args)
+        if isinstance(got, DegreePoly):
+            assert_checked_form(got)
+
+    @given(st.data())
+    def test_lexicographic_equals_composition(self, data):
+        pu, pv, ph = data.draw(small_polys), data.draw(small_polys), data.draw(small_polys)
+        args = (pu, pv, ph, data.draw(order_of(pu)), data.draw(order_of(ph)))
+        got = outcome(lexicographic_formula, *args)
+        assert got == outcome(oracle_lexicographic_formula, *args)
+        if isinstance(got, DegreePoly):
+            assert_checked_form(got)
+
+    def test_argument_errors(self):
+        with pytest.raises(TypeError):
+            cartesian_formula(P("x"), P("2x"), 1.0, 2)
+        with pytest.raises(TypeError):
+            cartesian_formula(P("x"), P("2x"), 1, 2.0)
+        with pytest.raises(InconsistentInputsError):
+            cartesian_formula(P("x"), P("2x"), 1, 3)
+        with pytest.raises(TypeError):
+            lexicographic_formula(P("x"), P("x"), P("2x"), 1, 2.0)
+        with pytest.raises(TypeError):
+            lexicographic_formula(P("x"), P("x"), P("2x"), 1.0, 2)
+        with pytest.raises(InconsistentInputsError):
+            lexicographic_formula(P("x"), P("x"), P("2x"), 1, 3)
+        with pytest.raises(InconsistentInputsError, match="at least one vertex"):
+            lexicographic_formula(P("x"), P("x"), Z, 1, -1)
 
 
 class TestVerifyOperation:

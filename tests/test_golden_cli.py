@@ -13,6 +13,7 @@ CHANGES.md.
 """
 
 import contextlib
+import gc
 import io
 import json
 from pathlib import Path
@@ -120,6 +121,24 @@ def test_golden_cli(name, golden):
     code, out = _run(INVOCATIONS[name])
     assert code == want["exit"]
     assert out.encode() == want["stdout"].encode()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in INVOCATIONS if not name.endswith("-w2"))
+)
+def test_leaves_no_cyclic_garbage(name):
+    """A warm run frees everything it made by reference counting alone: the
+    commands that pause the collector build nothing cyclic, and the
+    searches break their closures' cycles."""
+    gc.disable()
+    try:
+        _run(INVOCATIONS[name])
+        gc.collect()
+        _run(INVOCATIONS[name])
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -252,6 +253,18 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="inconsistent graph fields"):
             SimpleGraph.from_edges(3, [(0, 1)], "ab")
 
+    def test_rows_freeze_in_place(self):
+        # Each row's set is freed as its frozenset is made, so the peak stays
+        # near what the graph keeps; holding every set while freezing doubled it.
+        tracemalloc.start()
+        try:
+            g = complete_graph(1000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 499_500
+        assert peak < 1.1 * kept
+
 
 class TestFamilies:
     def test_cycle(self):
@@ -431,6 +444,10 @@ class TestOperationsAgainstOracle:
     @example(g=complete_graph(1), h=paw_graph())
     @example(g=paw_graph(), h=empty_graph(1, ["c"]))
     @example(g=paw_graph(), h=paw_graph())
+    @example(g=from_edge_list("a b\nb c\nz").graph, h=paw_graph())  # isolated vertex in G
+    @example(g=paw_graph(), h=from_edge_list("x y\nw").graph)  # isolated vertex in H
+    @example(g=cycle_graph(4), h=complete_graph(1))  # single-vertex H
+    @example(g=empty_graph(3, "xyz"), h=paw_graph())  # edgeless G
     def test_equals_edge_list_builders(self, kind, g, h):
         second = None if kind == "complement" else h
         got = apply_operation(kind, g, second)
@@ -704,6 +721,36 @@ def certificate(n: int, edges) -> int:
     g = SimpleGraph.from_edges(n, edges)
     masks = [sum(1 << w for w in row) for row in g.adj]
     return graphs_mod._certificate(masks, list(range(n)))
+
+
+class TestTwinsComputedLazily:
+    """``canonical_encoding`` builds the twin classes only when a refinement
+    leaves a non-singleton cell, the only place it reads them."""
+
+    # The degree partition of this order-6 graph refines to singletons.
+    DISCRETE = ((0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3))
+
+    def calls(self, monkeypatch, g) -> int:
+        made = []
+        real = graphs_mod._twin_representatives
+
+        def counting(n, adj_masks):
+            made.append(n)
+            return real(n, adj_masks)
+
+        monkeypatch.setattr(graphs_mod, "_twin_representatives", counting)
+        canonical_form(g)
+        return len(made)
+
+    def test_discrete_refinement_skips_them(self, monkeypatch):
+        g = SimpleGraph.from_edges(6, self.DISCRETE)
+        masks = TestRefine.masks(g)
+        assert all(len(c) == 1 for c in oracle_refine(masks, degree_partition(masks)))
+        assert self.calls(monkeypatch, g) == 0
+
+    @pytest.mark.parametrize("g", [paw_graph(), cycle_graph(6), both_twin_kinds()])
+    def test_once_otherwise(self, monkeypatch, g):
+        assert self.calls(monkeypatch, g) == 1
 
 
 class TestCertificate:
