@@ -344,17 +344,11 @@ _HANDLERS = {
 }
 
 
-# Commands whose graphs, polynomials and ``to_dict()`` trees are all acyclic,
-# so reference counting frees everything they make and a collection during
-# them finds nothing.  The searches of ``check``, ``realize`` and ``classify``
-# keep the collector.
-_ACYCLIC = frozenset({"dp", "family", "op"})
-
-
 @contextlib.contextmanager
 def _collector_paused():
     """Run the block with the cyclic collector disabled, then restore the
-    caller's state: a caller that had it disabled keeps it disabled."""
+    caller's state: a caller that had it disabled keeps it disabled.  No
+    command builds reference cycles, so a collection would find nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -370,9 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    paused = _collector_paused if args.command in _ACYCLIC else contextlib.nullcontext
     try:
-        with paused():
+        with _collector_paused():
             return _HANDLERS[args.command](args)
     except DegpolyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -421,6 +421,11 @@ class CanonicalForm:
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    @classmethod
+    def from_certificate(cls, n: int, cert: int) -> "CanonicalForm":
+        """Decode a ``canonical_encoding`` certificate."""
+        return cls(n, _decode(n, cert))
+
     def graph(self) -> SimpleGraph:
         """The graph on vertices 0..n-1 with exactly these edges."""
         return SimpleGraph.from_edges(self.n, self.edges)
@@ -626,7 +631,7 @@ def canonical_form(g: SimpleGraph) -> CanonicalForm:
             f"canonical form limited to n <= {CANONICAL_FORM_MAX_N}, got {g.n}"
         )
     adj_masks = [sum(1 << w for w in row) for row in g.adj]
-    return CanonicalForm(g.n, _decode(g.n, canonical_encoding(g.n, adj_masks)))
+    return CanonicalForm.from_certificate(g.n, canonical_encoding(g.n, adj_masks))
 
 
 # -- DOT emission --------------------------------------------------------------------

@@ -9,7 +9,7 @@ This module layers three kinds of evidence:
 * classical graphical-sequence tests (Erdos-Gallai, Havel-Hakimi) on the
   integer projection obtained by summing each entry's coefficients;
 * an exhaustive, exact search over the labeled graphs with the projected
-  degree multiset, deduplicated up to isomorphism by canonical form.
+  degree multiset, deduplicated up to isomorphism by canonical certificate.
 
 The search needs isomorphism classes only, and every graph can be
 relabeled so that its degrees are non-increasing, so it visits the single
@@ -23,11 +23,12 @@ rows, ``_twin_prefix_rows``): every class and the first graph met stay the
 same, and a regular sequence's search meets each class a few times instead
 of once per labeling.  Work can be partitioned across processes by vertex
 0's twin-prefix rows (``realize`` passes each one to ``_iter_adj`` as
-``first_row``).  A witness is reported by its canonical form, and all
-witnesses come sorted by canonical edges, so merging the units in payload
-order decides only which class a first-witness search reports; reports are
-byte-identical for any worker count.  ``iter_labeled_graphs`` counts
-labeled graphs and so still visits every assignment and every row.
+``first_row``).  A leaf is kept as its canonical certificate, one int
+(``_leaf_certificate``, shared with ``classify_all``), and each class is
+decoded once.  Witnesses come sorted by canonical edges, so merging units
+in payload order decides only which class a first-witness search reports;
+reports are byte-identical for any worker count.  ``iter_labeled_graphs``
+counts labeled graphs and so still visits every assignment and every row.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .graphs import (
     CanonicalForm,
     SimpleGraph,
     canonical_encoding,
-    canonical_form,
+    canonical_form,  # unused; perfbench/tracing.py wraps this name
 )
 from .poly import DegreePoly, coeff_stats, coeff_sum
 
@@ -305,6 +306,11 @@ def _iter_adj(
         del rec  # it refers to itself through its closure cell, even if stopped early
 
 
+def _leaf_certificate(adj: Sequence[Sequence[int]]) -> int:
+    """Canonical certificate of a graph ``_iter_adj`` yields."""
+    return canonical_encoding(len(adj), [sum(1 << w for w in row) for row in adj])
+
+
 def _vertex_key(
     degvec: Sequence[int], neighbors: Iterable[int]
 ) -> tuple[tuple[int, int], ...]:
@@ -534,19 +540,16 @@ def _check_workers(workers: int) -> None:
         raise BadParamsError(f"workers must be at least 1, got {workers}")
 
 
-def _realize_task(payload) -> list[CanonicalForm]:
-    """The distinct canonical forms of one unit's matches, in order of
-    first appearance; only the first if not ``want_all``."""
+def _realize_task(payload) -> set[int]:
+    """The distinct leaf certificates of one unit's matches; only the
+    first if not ``want_all``."""
     d_desc, first_row, target, want_all = payload
-    n = len(d_desc)
-    labels = tuple(f"v{i}" for i in range(n))
-    found: dict[CanonicalForm, None] = {}
+    certs: set[int] = set()
     for adj in _iter_adj(d_desc, first_row, target, twins=True):
-        graph = SimpleGraph(n, labels, tuple(map(frozenset, adj)))
-        found[canonical_form(graph)] = None
+        certs.add(_leaf_certificate(adj))
         if not want_all:
             break
-    return list(found)
+    return certs
 
 
 def realize(
@@ -564,11 +567,12 @@ def realize(
     the labeled graphs on the non-increasing projected degree assignment
     whose vertex polynomials are owed by the sequence are enumerated, each
     vertex checked as soon as its neighbourhood is final; they are
-    deduplicated up to isomorphism and reported by canonical form (all
+    deduplicated by canonical certificate, each class decoded once (all
     witnesses sorted by canonical edges, or the first one met), and the
-    report states whether the search was exhaustive.  Sequences longer than ``max_n``, or than the canonical-form
-    bound ``CANONICAL_FORM_MAX_N`` that witnesses need, are not searched;
-    the report then stays honestly inconclusive instead of sampling.
+    report states whether the search was exhaustive.  Sequences longer
+    than ``max_n``, or than the canonical-form bound ``CANONICAL_FORM_MAX_N``
+    that witnesses need, are not searched: the report then stays honestly
+    inconclusive instead of sampling.
     """
     _check_workers(workers)
     conditions = necessary_conditions(seq)
@@ -612,11 +616,11 @@ def realize(
     )
 
     with closing(_ordered_map(_realize_task, payloads, workers)) as results:
-        forms = itertools.chain.from_iterable(results)
-        if want_all_witnesses:
-            forms = sorted(set(forms), key=lambda f: f.edges)
-        else:
-            forms = list(itertools.islice(forms, 1))
+        certs = itertools.chain.from_iterable(results)
+        if not want_all_witnesses:
+            certs = itertools.islice(certs, 1)
+        forms = [CanonicalForm.from_certificate(n, c) for c in set(certs)]
+    forms.sort(key=lambda f: f.edges)  # not by certificate: its bit layout is private
     exhaustive = want_all_witnesses or not forms
 
     # Witness fidelity: re-derive each witness's sequence through the
@@ -653,12 +657,10 @@ class ClassifiedSequence:
 def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[int]]:
     """Canonical certificates of the graphs with degree multiset ``d``,
     grouped by degree-polynomial key (the sorted vertex keys)."""
-    n = len(d)
     groups: dict[tuple, set[int]] = {}
     for adj in _iter_adj(d, twins=True):
         key = tuple(sorted(_vertex_key(d, row) for row in adj))
-        masks = [sum(1 << w for w in row) for row in adj]
-        groups.setdefault(key, set()).add(canonical_encoding(n, masks))
+        groups.setdefault(key, set()).add(_leaf_certificate(adj))
     return groups
 
 
@@ -676,12 +678,9 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
     multisets = _graphical_positive_multisets(n)
     groups: dict[tuple, set[int]] = {}
     for partial in _ordered_map(_classify_task, multisets, workers):
-        for key, forms in partial.items():
-            groups.setdefault(key, set()).update(forms)
-    out = []
-    for key in sorted(groups):
-        polys = [DegreePoly(dict(pairs)) for pairs in key]
-        out.append(
-            ClassifiedSequence(PolySequence.from_polys(polys), len(groups[key]))
-        )
-    return tuple(out)
+        for key, certs in partial.items():
+            groups.setdefault(key, set()).update(certs)
+    return tuple(
+        ClassifiedSequence(PolySequence.from_pairs(key), len(groups[key]))
+        for key in sorted(groups)
+    )

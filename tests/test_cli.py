@@ -201,6 +201,9 @@ class TestCollectorState:
             pytest.param(["dp", "a a"], id="dp-self-loop"),
             pytest.param(["family", "cycle", "2"], id="family-bad-params"),
             pytest.param(["op", "tensor", "a b", "--frobnicate"], id="usage-error"),
+            pytest.param(["check", "2x, x^2, x, x, x"], id="check"),
+            pytest.param(["realize", "x, x"], id="realize"),
+            pytest.param(["classify", "--n", "3"], id="classify"),
         ],
     )
     def test_state_restored(self, capsys, argv, enabled):
@@ -215,17 +218,17 @@ class TestCollectorState:
         assert after is enabled
 
     @pytest.mark.parametrize(
-        "argv, paused",
+        "argv",
         [
-            (["dp", PAW_EDGES], True),
-            (["family", "cycle", "5"], True),
-            (["op", "cartesian", PAW_EDGES, "x y", "--verify"], True),
-            (["check", "2x, x^2, x, x, x"], False),
-            (["realize", "x, x"], False),
-            (["classify", "--n", "2"], False),
+            ["dp", PAW_EDGES],
+            ["family", "cycle", "5"],
+            ["op", "cartesian", PAW_EDGES, "x y", "--verify"],
+            ["check", "2x, x^2, x, x, x"],
+            ["realize", "x, x"],
+            ["classify", "--n", "2"],
         ],
     )
-    def test_paused_only_for_acyclic_commands(self, capsys, monkeypatch, argv, paused):
+    def test_paused_for_every_command(self, capsys, monkeypatch, argv):
         seen = []
 
         def recording_emit(out, emit=cli._emit):
@@ -236,7 +239,7 @@ class TestCollectorState:
         assert gc.isenabled()
         main(argv)
         capsys.readouterr()
-        assert seen == [not paused]
+        assert seen == [False]
         assert gc.isenabled()
 
 

@@ -202,14 +202,16 @@ class TestTwinPrefixRows:
                 assert reached(d, twins=True) == reached(d, twins=False), d
 
     def test_canonical_form_calls_on_a_regular_sequence(self, monkeypatch):
+        # Every leaf is labeled once, by its certificate; the twin rule keeps
+        # 8 x 2x^2 to a leaf or two per class.
         calls = []
-        real = realizability.canonical_form
+        real = realizability.canonical_encoding
 
-        def counted(g, *args):
-            calls.append(g.n)
-            return real(g, *args)
+        def counted(n, masks):
+            calls.append(n)
+            return real(n, masks)
 
-        monkeypatch.setattr(realizability, "canonical_form", counted)
+        monkeypatch.setattr(realizability, "canonical_encoding", counted)
         rep = realize(PolySequence.from_polys([P("2x^2")] * 8))
         assert rep.nonisomorphic_count == 3
         assert len(calls) == 4
@@ -329,6 +331,20 @@ class TestRealize:
             one = realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=want_all, workers=1)
             four = realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=want_all, workers=4)
             assert json.dumps(one.to_dict()) == json.dumps(four.to_dict())
+
+    @pytest.mark.parametrize(
+        "entry, n, classes", [("3x^3", 8, 6), ("4x^4", 9, 16), ("3x^3", 10, 21)]
+    )
+    def test_witnesses_past_order_six(self, entry, n, classes):
+        # Past the pinned n <= 6 reports: each class is decoded from its
+        # certificate once, so check the decoding and the order here.
+        seq = PolySequence.from_polys([P(entry)] * n)
+        rep = realize(seq, max_n=12)
+        assert rep.nonisomorphic_count == classes
+        edge_lists = [w.edges for w in rep.witnesses]
+        assert all(a < b for a, b in zip(edge_lists, edge_lists[1:]))
+        assert all(canonical_form(w.graph()) == w for w in rep.witnesses)
+        assert realize(seq, max_n=12, workers=2).to_dict() == rep.to_dict()
 
     def test_early_stop_with_pool_is_prompt(self):
         # A regular sequence has a single vertex-0 unit, which leaves the
