@@ -3,8 +3,8 @@
 Subcommands: ``dp`` (degree polynomials of a graph), ``family`` (standard
 family sequences), ``op`` (the five graph operations, optionally verified
 against their closed forms), ``check`` (necessary conditions on a
-sequence), ``realize`` (exhaustive realizability search) and ``classify``
-(all sequences at a fixed order).
+sequence), ``realize`` (exact realizability verdict and witnesses) and
+``classify`` (all sequences at a fixed order).
 
 Exit codes: 0 success, 1 usage or data errors, 2 for a checked-and-negative
 verdict (a failed condition or a proven-unrealizable sequence).  Output is
@@ -98,18 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="necessary conditions on a sequence")
     p_check.add_argument("sequence", help="sequence file path or inline sequence")
 
-    p_realize = sub.add_parser("realize", help="exhaustive realizability search")
+    p_realize = sub.add_parser("realize", help="realizability verdict and witnesses")
     p_realize.add_argument("sequence", help="sequence file path or inline sequence")
     p_realize.add_argument(
         "--max-n",
         type=_int_at_least(0),
         default=realize_mod.DEFAULT_SEARCH_MAX_N,
-        help="search bound",
+        help="order bound of the --all search",
     )
     p_realize.add_argument(
         "--all",
         action="store_true",
-        help="collect every isomorphism class instead of stopping at the first witness",
+        help="collect every isomorphism class instead of one witness",
     )
     p_realize.add_argument("--dot", action="store_true", help="emit witnesses as DOT")
     p_realize.add_argument("--workers", type=_int_at_least(1), default=1)
@@ -302,8 +302,8 @@ def _cmd_realize(args) -> int:
     else:
         lines = [f"sequence: {report.sequence}"]
         lines.extend(_condition_lines(report.conditions))
-        if report.searched:
-            scope = "exhaustive" if report.exhaustive else "stopped early"
+        if report.searched or report.exhaustive:
+            scope = "exhaustive" if report.exhaustive else "not exhaustive"
             lines.append(f"{report.nonisomorphic_count} witnesses ({scope})")
             for i, w in enumerate(report.witnesses):
                 if args.dot:

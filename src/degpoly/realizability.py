@@ -2,14 +2,22 @@
 
 A sequence of nonzero polynomials is realizable when some simple graph
 without isolated vertices has exactly that degree-polynomial sequence.
-This module layers three kinds of evidence:
+``realize`` settles it in up to three steps:
 
-* necessary conditions on the sequence itself (parity of the coefficient
-  sums, support counts, parity of the even-exponent sums split by class);
-* classical graphical-sequence tests (Erdos-Gallai, Havel-Hakimi) on the
-  integer projection obtained by summing each entry's coefficients;
-* an exhaustive, exact search over the labeled graphs with the projected
-  degree multiset, deduplicated up to isomorphism by canonical certificate.
+* the paper's necessary conditions on the sequence itself (parity of the
+  coefficient sums, support counts, parity of the even-exponent sums split
+  by class), with Erdos-Gallai on the integer projection obtained by
+  summing each entry's coefficients;
+* an exact decision by degree class (``_piece_pass``): once each vertex
+  carries an entry, the edges split into independent pieces, a simple
+  graph within each degree class (Erdos-Gallai) and a bipartite graph
+  between each pair of classes (``gale_ryser``), so the sequence is
+  realizable exactly when every piece is.  The pieces are built by
+  Havel-Hakimi and Ryser's greedy, the union is re-checked, and its
+  canonical form is the first witness;
+* for every witness (``--all``), an exhaustive search over the labeled
+  graphs with the projected degree multiset, deduplicated up to
+  isomorphism by canonical certificate.
 
 The search needs isomorphism classes only, and every graph can be
 relabeled so that its degrees are non-increasing, so it visits the single
@@ -19,16 +27,15 @@ neighbourhood is complete its degree polynomial is fixed, and the branch
 dies unless that polynomial is still owed to the target multiset.  Partners
 with the same degree and the same neighbours so far are interchangeable,
 so only rows taking a prefix of each such group are tried (twin-prefix
-rows, ``_twin_prefix_rows``): every class and the first graph met stay the
-same, and a regular sequence's search meets each class a few times instead
-of once per labeling.  Work can be partitioned across processes by vertex
-0's twin-prefix rows (``realize`` passes each one to ``_iter_adj`` as
+rows, ``_twin_prefix_rows``): every class stays the same, and a regular
+sequence's search meets each class a few times instead of once per
+labeling.  Work can be partitioned across processes by vertex 0's
+twin-prefix rows (``realize`` passes each one to ``_iter_adj`` as
 ``first_row``).  A leaf is kept as its canonical certificate, one int
 (``_leaf_certificate``, shared with ``classify_all``), and each class is
-decoded once.  Witnesses come sorted by canonical edges, so merging units
-in payload order decides only which class a first-witness search reports;
-reports are byte-identical for any worker count.  ``iter_labeled_graphs``
-counts labeled graphs and so still visits every assignment and every row.
+decoded once.  Witnesses come sorted by canonical edges, so reports are
+byte-identical for any worker count.  ``iter_labeled_graphs`` counts
+labeled graphs and so still visits every assignment and every row.
 """
 
 from __future__ import annotations
@@ -36,13 +43,13 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .dp import PolySequence, degree_polynomial_sequence
 from .errors import (
     BadParamsError,
+    IsolatedVertexError,
     NotSortedError,
     TooLargeError,
     WitnessVerificationError,
@@ -53,7 +60,7 @@ from .graphs import (
     CanonicalForm,
     SimpleGraph,
     canonical_encoding,
-    canonical_form,  # unused; perfbench/tracing.py wraps this name
+    canonical_form,
 )
 from .poly import DegreePoly, coeff_stats, coeff_sum
 
@@ -155,13 +162,46 @@ def erdos_gallai(d: Sequence[int]) -> bool:
     return True
 
 
+def gale_ryser(left: Sequence[int], right: Sequence[int]) -> bool:
+    """Exact bipartite test: some simple bipartite graph gives the two sides
+    these degrees (each in any order) exactly when the sums agree and, with
+    ``left`` non-increasing, sum(left[:k]) <= sum(min(b, k) for b in right)
+    for k = 1..len(left).
+
+    O(n log n): ``right`` is sorted once, and as k grows its entries below
+    k are a growing prefix, each adding itself and every other adding k.
+    """
+    if min(left, default=0) < 0 or min(right, default=0) < 0:
+        raise ValueError("degrees must be nonnegative")
+    if sum(left) != sum(right):
+        return False
+    b = sorted(right)
+    below = below_sum = prefix = 0
+    for k, x in enumerate(sorted(left, reverse=True), 1):
+        while below < len(b) and b[below] < k:
+            below_sum += b[below]
+            below += 1
+        prefix += x
+        if prefix > below_sum + k * (len(b) - below):
+            return False
+    return True
+
+
 def havel_hakimi(d: Sequence[int]) -> tuple[bool, Optional[SimpleGraph]]:
     """Classical reduction; on success also returns one realizing graph
     whose degree multiset equals ``d``."""
     _require_sorted(d)
-    n = len(d)
-    if sum(d) % 2:
+    edges = _havel_hakimi_edges(d)
+    if edges is None:
         return False, None
+    return True, SimpleGraph.from_edges(len(d), edges)
+
+
+def _havel_hakimi_edges(d: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+    """The edges Havel-Hakimi builds on vertices 0..n-1 of degrees ``d``,
+    in any order, or None if ``d`` is not graphical."""
+    if sum(d) % 2:
+        return None
     work = [(deg, i) for i, deg in enumerate(d)]
     edges: list[tuple[int, int]] = []
     while work:
@@ -171,12 +211,12 @@ def havel_hakimi(d: Sequence[int]) -> tuple[bool, Optional[SimpleGraph]]:
             break
         rest = work[1:]
         if deg > len(rest):
-            return False, None
+            return None
         if rest[deg - 1][0] == 0:
-            return False, None
+            return None
         work = [(dg - 1, j) for dg, j in rest[:deg]] + rest[deg:]
         edges.extend((min(i, j), max(i, j)) for _, j in rest[:deg])
-    return True, SimpleGraph.from_edges(n, edges)
+    return edges
 
 
 # -- exhaustive labeled-graph enumeration ------------------------------------------
@@ -481,7 +521,65 @@ def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
     )
 
 
-# -- exhaustive realizability search --------------------------------------------------
+# -- decision by degree class ----------------------------------------------------------
+
+
+def _piece_pass(
+    entries: Sequence[DegreePoly],
+) -> tuple[Optional[tuple[int, int]], Optional[SimpleGraph]]:
+    """Decide ``entries`` by degree class, vertex v carrying ``entries[v]``.
+
+    Class i is the vertices whose entry has coefficient sum i.  Piece (i, i)
+    is a simple graph on class i in which v has degree coef(p_v, i); piece
+    (i, j), i > j, is a bipartite graph with degrees coef(p_v, j) on class i
+    and coef(p_w, i) on class j.  Over the pieces some entry names, by
+    descending i and then j, returns the first that fails Erdos-Gallai or
+    Gale-Ryser and no graph, or no piece and the union of the pieces built
+    by Havel-Hakimi and Ryser's greedy.  A piece no entry names has no
+    edges and always passes.
+    """
+    sums = [coeff_sum(p) for p in entries]
+    coef = [dict(p) for p in entries]
+    classes: dict[int, list[int]] = {}
+    for v, s in enumerate(sums):
+        classes.setdefault(s, []).append(v)
+    named = {(s, j) if s > j else (j, s) for s, c in zip(sums, coef) for j in c}
+    edges: list[tuple[int, int]] = []
+    for i, j in sorted(named, reverse=True):
+        left = classes.get(i, [])
+        a = [coef[v].get(j, 0) for v in left]
+        if i == j:
+            if not erdos_gallai(sorted(a, reverse=True)):
+                return (i, i), None
+            edges += [(left[x], left[y]) for x, y in _havel_hakimi_edges(a)]
+        else:
+            right = classes.get(j, [])
+            b = [coef[w].get(i, 0) for w in right]
+            if not gale_ryser(a, b):
+                return (i, j), None
+            edges += _ryser_edges(left, a, right, b)
+    return None, SimpleGraph.from_edges(len(entries), edges)
+
+
+def _ryser_edges(
+    left: Sequence[int], a: Sequence[int], right: Sequence[int], b: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Ryser's greedy for degrees that pass Gale-Ryser: left vertices by
+    decreasing demand, each joined to the right vertices of largest
+    residual demand, ties by index."""
+    residual = list(b)
+    edges = []
+    for x in sorted(range(len(left)), key=a.__getitem__, reverse=True):
+        if not a[x]:
+            break
+        by_residual = sorted(range(len(right)), key=residual.__getitem__, reverse=True)
+        for y in by_residual[: a[x]]:
+            residual[y] -= 1
+            edges.append((left[x], right[y]))
+    return edges
+
+
+# -- realizability: the decision, then every witness --------------------------------
 
 
 @dataclass(frozen=True)
@@ -491,7 +589,7 @@ class RealizabilityReport:
     searched: bool
     exhaustive: bool
     witnesses: tuple[CanonicalForm, ...]
-    realizable: Optional[bool]
+    realizable: bool
     reason: str
 
     @property
@@ -520,9 +618,7 @@ def _ordered_map(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
     """``fn`` over ``payloads``, results in payload order.
 
     One worker is the built-in ``map``.  More run the calls in a process
-    pool, which reads payloads only as fast as its task pipe drains;
-    closing the iterator early terminates the pool, so calls still running
-    are abandoned instead of waited for.
+    pool, which reads payloads only as fast as its task pipe drains.
     """
     if workers == 1:
         yield from map(fn, payloads)
@@ -541,15 +637,23 @@ def _check_workers(workers: int) -> None:
 
 
 def _realize_task(payload) -> set[int]:
-    """The distinct leaf certificates of one unit's matches; only the
-    first if not ``want_all``."""
-    d_desc, first_row, target, want_all = payload
-    certs: set[int] = set()
-    for adj in _iter_adj(d_desc, first_row, target, twins=True):
-        certs.add(_leaf_certificate(adj))
-        if not want_all:
-            break
-    return certs
+    """The distinct leaf certificates of one unit's matches."""
+    d_desc, first_row, target = payload
+    leaves = _iter_adj(d_desc, first_row, target, twins=True)
+    return {_leaf_certificate(adj) for adj in leaves}
+
+
+def _verify(graph: SimpleGraph, seq: PolySequence) -> None:
+    """Re-derive ``graph``'s sequence through the public path and insist it
+    is ``seq``."""
+    try:
+        regenerated = degree_polynomial_sequence(graph)
+    except IsolatedVertexError as exc:
+        raise WitnessVerificationError(f"witness {list(graph.edges())}: {exc}") from None
+    if regenerated.multiset() != seq.multiset():
+        raise WitnessVerificationError(
+            f"witness {list(graph.edges())} has sequence {regenerated}, not {seq}"
+        )
 
 
 def realize(
@@ -559,20 +663,20 @@ def realize(
     want_all_witnesses: bool = True,
     workers: int = 1,
 ) -> RealizabilityReport:
-    """Decide realizability of a polynomial sequence.
+    """Decide realizability of a polynomial sequence, at any order.
 
-    Pipeline: necessary conditions, on the entries in the order given (so
-    the report says whether they came presented); if any fails the
+    The necessary conditions run first, on the entries in the order given
+    (so the report says whether they came presented); if one fails, the
     sequence is unrealizable with the failing condition cited.  Otherwise
-    the labeled graphs on the non-increasing projected degree assignment
-    whose vertex polynomials are owed by the sequence are enumerated, each
-    vertex checked as soon as its neighbourhood is final; they are
-    deduplicated by canonical certificate, each class decoded once (all
-    witnesses sorted by canonical edges, or the first one met), and the
-    report states whether the search was exhaustive.  Sequences longer
-    than ``max_n``, or than the canonical-form bound ``CANONICAL_FORM_MAX_N``
-    that witnesses need, are not searched: the report then stays honestly
-    inconclusive instead of sampling.
+    the degree-class pass decides: it names the first piece that has no
+    realization, or builds a graph, which is re-checked against the
+    sequence.  The first witness is that graph's canonical form, reported
+    up to ``CANONICAL_FORM_MAX_N``.  With ``want_all_witnesses`` and at
+    most ``min(max_n, CANONICAL_FORM_MAX_N)`` entries, the labeled graphs
+    on the non-increasing projected degree assignment whose vertex
+    polynomials the sequence owes are enumerated instead, each class
+    decoded once, sorted by canonical edges and re-checked; the report is
+    then exhaustive.  ``workers`` splits only that search.
     """
     _check_workers(workers)
     conditions = necessary_conditions(seq)
@@ -599,44 +703,49 @@ def realize(
         )
         return report(False, False, (), False, what)
 
-    bound = min(max_n, CANONICAL_FORM_MAX_N)
-    if n > bound:
-        return report(
-            False, False, (), None, f"order {n} exceeds the search bound {bound}"
+    failed_piece, graph = _piece_pass(seq.entries)
+    if failed_piece is not None:
+        i, j = failed_piece
+        what = (
+            f"degree class {i} fails Erdos-Gallai"
+            if i == j
+            else f"degree classes {i} and {j} fail Gale-Ryser"
         )
+        return report(False, True, (), False, what)
+    _verify(graph, seq)
 
-    # Work units are vertex 0's twin-prefix rows, in the order the search
-    # visits them; every projected degree is at least 1, so any vertex can
-    # be a partner, and with no edges yet a partner's key is its degree.
-    target = Counter(map(tuple, seq.entries))
-    d_desc = conditions.projection
-    payloads = (
-        (d_desc, row, target, want_all_witnesses)
-        for row in _twin_prefix_rows(range(1, n), d_desc[1:], d_desc[0])
-    )
-
-    with closing(_ordered_map(_realize_task, payloads, workers)) as results:
-        certs = itertools.chain.from_iterable(results)
-        if not want_all_witnesses:
-            certs = itertools.islice(certs, 1)
-        forms = [CanonicalForm.from_certificate(n, c) for c in set(certs)]
-    forms.sort(key=lambda f: f.edges)  # not by certificate: its bit layout is private
-    exhaustive = want_all_witnesses or not forms
-
-    # Witness fidelity: re-derive each witness's sequence through the
-    # public path and insist it matches the target.
-    for w in forms:
-        regenerated = degree_polynomial_sequence(w.graph())
-        if regenerated.multiset() != seq.multiset():
-            raise WitnessVerificationError(
-                f"witness {list(w.edges)} has sequence {regenerated}, not {seq}"
-            )
-
-    if forms:
-        reason = f"{len(forms)} non-isomorphic realization(s) found"
+    bound = min(max_n, CANONICAL_FORM_MAX_N)
+    exhaustive = want_all_witnesses and n <= bound
+    if exhaustive:
+        # Work units are vertex 0's twin-prefix rows, in the order the
+        # search visits them; every projected degree is at least 1, so any
+        # vertex can be a partner, and with no edges yet a partner's key is
+        # its degree.
+        target = Counter(map(tuple, seq.entries))
+        d_desc = conditions.projection
+        payloads = (
+            (d_desc, row, target)
+            for row in _twin_prefix_rows(range(1, n), d_desc[1:], d_desc[0])
+        )
+        results = _ordered_map(_realize_task, payloads, workers)
+        certs = set(itertools.chain.from_iterable(results))
+        forms = [CanonicalForm.from_certificate(n, c) for c in certs]
+        forms.sort(key=lambda f: f.edges)  # not by certificate: its bit layout is private
+        if not forms:
+            raise WitnessVerificationError(f"the search found no realization of {seq}")
+        for w in forms:
+            _verify(w.graph(), seq)
+    elif n <= CANONICAL_FORM_MAX_N:
+        forms = [canonical_form(graph)]
     else:
-        reason = "exhaustive search found no realization"
-    return report(True, exhaustive, forms, bool(forms), reason)
+        forms = []
+
+    reason = f"{len(forms)} non-isomorphic realization(s) found" if forms else "realizable"
+    if want_all_witnesses and not exhaustive:
+        reason += f"; order {n} exceeds the search bound {bound}"
+    elif not forms:
+        reason += f"; order {n} exceeds the witness bound {CANONICAL_FORM_MAX_N}"
+    return report(bool(forms), exhaustive, forms, True, reason)
 
 
 # -- classification of all sequences at a fixed order ----------------------------------

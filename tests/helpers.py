@@ -342,6 +342,45 @@ def oracle_erdos_gallai(d) -> bool:
     return True
 
 
+def bipartite_degree_pairs(p: int, q: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (left degrees, right degrees) pair, each sorted non-increasingly,
+    of some bipartite graph with p left and q right vertices: all 2^(pq)
+    edge sets, one bit per (left, right) pair."""
+    pairs = set()
+    for mask in range(1 << (p * q)):
+        rows = [mask >> (x * q) & ((1 << q) - 1) for x in range(p)]
+        left = sorted((row.bit_count() for row in rows), reverse=True)
+        right = sorted((sum(row >> y & 1 for row in rows) for y in range(q)), reverse=True)
+        pairs.add((tuple(left), tuple(right)))
+    return pairs
+
+
+def condition_passing_sequences(n: int) -> list[PolySequence]:
+    """Every sequence of order n that passes conditions (a)-(c) and whose
+    projection is graphical.  Condition (b) caps the coefficient of x^i at
+    the number of other entries with coefficient sum i, so each entry is a
+    bounded composition of its sum over the projection's degrees."""
+    out = []
+    for d in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
+        if not oracle_erdos_gallai(d):
+            continue
+        count = Counter(d)
+        per_class = []
+        for s, m in sorted(count.items(), reverse=True):
+            caps = [(i, count[i] - (i == s)) for i in sorted(count)]
+            polys = [
+                DegreePoly({i: c for (i, _), c in zip(caps, coeffs) if c})
+                for coeffs in itertools.product(*(range(min(c, s) + 1) for _, c in caps))
+                if sum(coeffs) == s
+            ]
+            per_class.append(itertools.combinations_with_replacement(polys, m))
+        for choice in itertools.product(*per_class):
+            report = necessary_conditions([p for group in choice for p in group])
+            if report.all_pass:
+                out.append(report.sequence)
+    return out
+
+
 def oracle_sort_polys_desc(polys) -> list[DegreePoly]:
     """The presentation rule straight from its definition: arrange by
     ``presentation_key`` descending, then insert each polynomial before the
@@ -497,34 +536,25 @@ def labeled_graph_exists(degrees) -> bool:
     return next(iter_labeled_graphs(degrees), None) is not None
 
 
-def oracle_realize(
-    seq: PolySequence, want_all_witnesses: bool = True
-) -> RealizabilityReport:
-    """``realize`` the slow way, for a sequence that passes the necessary
-    conditions: every labeled graph on every arrangement of the projected
-    degree multiset, kept when its finished degree-polynomial multiset
-    equals the target's.  Witnesses are canonical forms: every class sorted
-    by canonical edges, or the first class met."""
+def oracle_realize(seq: PolySequence) -> RealizabilityReport:
+    """``realize --all`` the slow way, for a sequence that passes the
+    necessary conditions: every labeled graph on every arrangement of the
+    projected degree multiset, kept when its finished degree-polynomial
+    multiset equals the target's.  Witnesses are canonical forms, every
+    class sorted by canonical edges."""
     conditions = necessary_conditions(seq)
     if not conditions.all_pass:
         raise ValueError(f"{seq} fails condition {conditions.first_failure()}")
     n = len(seq)
-    forms = []
+    forms = set()
     for edges in iter_labeled_graphs(conditions.projection):
-        if dp_multiset(n, edges) != seq.multiset():
-            continue
-        form = canonical_form(SimpleGraph.from_edges(n, edges))
-        if form not in forms:
-            forms.append(form)
-        if not want_all_witnesses:
-            break
-    if want_all_witnesses:
-        forms.sort(key=lambda f: f.edges)
+        if dp_multiset(n, edges) == seq.multiset():
+            forms.add(canonical_form(SimpleGraph.from_edges(n, edges)))
+    forms = sorted(forms, key=lambda f: f.edges)
     if forms:
         reason = f"{len(forms)} non-isomorphic realization(s) found"
     else:
         reason = "exhaustive search found no realization"
     return RealizabilityReport(
-        seq, conditions, True, want_all_witnesses or not forms,
-        tuple(forms), bool(forms), reason,
+        seq, conditions, True, True, tuple(forms), bool(forms), reason
     )

@@ -166,9 +166,11 @@ def test_criterion_6_insufficiency_witness():
         assert report.conditions.cond_b_pass
         assert report.conditions.cond_c_pass
         assert erdos_gallai(report.conditions.projection)
-        assert report.searched and report.exhaustive
+        # The degree-class pass proves it: no search runs.
+        assert not report.searched and report.exhaustive
         assert report.nonisomorphic_count == 0
         assert report.realizable is False
+        assert report.reason == "degree class 2 fails Erdos-Gallai"
 
 
 def test_criterion_7_non_uniqueness():

@@ -457,15 +457,22 @@ class TestRealize:
         assert 'graph {' in out
 
     def test_flag_bound(self, capsys):
-        code, out, _ = run(capsys, "realize", "2x^2, 2x^2, 2x^2, 2x^2, 2x^2", "--max-n", "4")
+        # --max-n bounds only --all; past it the first witness is shown.
+        seq = "2x^2, 2x^2, 2x^2, 2x^2, 2x^2"
+        code, out, _ = run(capsys, "realize", seq, "--max-n", "4", "--all")
         assert code == 0
+        assert "1 witnesses (not exhaustive)" in out
         assert "exceeds the search bound 4" in out
+        code, out, _ = run(capsys, "realize", seq, "--max-n", "4")
+        assert code == 0
+        assert out.endswith("verdict: 1 non-isomorphic realization(s) found\n")
 
     @pytest.mark.parametrize("bound", [("--max-n", "17")], ids=["flag"])
-    def test_bound_above_canonical_form_bound_is_inconclusive(self, capsys, bound):
-        code, out, err = run(capsys, "realize", ", ".join(["2x^2"] * 17), *bound)
+    def test_bound_above_canonical_form_bound_gives_a_verdict(self, capsys, bound):
+        code, out, err = run(capsys, "realize", ", ".join(["2x^2"] * 17), *bound, "--all")
         assert code == 0 and err == ""
-        assert out.endswith("verdict: order 17 exceeds the search bound 16\n")
+        assert "witnesses" not in out
+        assert out.endswith("verdict: realizable; order 17 exceeds the search bound 16\n")
 
     def test_structured_bytes_stable(self, capsys):
         args = ("--format", "structured", "realize", "2x^2, 2x, 2x, x, x", "--all")
@@ -484,13 +491,11 @@ class TestRealize:
             assert out1 == out4
 
     def test_failed_witness_recheck_is_a_data_error(self, capsys, monkeypatch):
-        # Unrealizable; a vertex key that calls every neighbour degree 2 lets
-        # any graph with its projection through the search.
-        seq = "3x^2, 2x^2, 2x^2, 2x^2, x^2"
-        assert run(capsys, "realize", seq)[0] == 2
-        monkeypatch.setattr(
-            realizability, "_vertex_key", lambda degvec, nbrs: ((2, len(nbrs)),)
-        )
+        # A Havel-Hakimi that builds no edges: the constructed graph fails
+        # its re-check.
+        seq = "2x^2, 2x^2, 2x^2"
+        assert run(capsys, "realize", seq)[0] == 0
+        monkeypatch.setattr(realizability, "_havel_hakimi_edges", lambda d: [])
         code, _, err = run(capsys, "realize", seq)
         assert code == 1
         assert err.startswith("error: WitnessVerificationError: ")

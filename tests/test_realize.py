@@ -5,9 +5,9 @@ import itertools
 import json
 import multiprocessing
 import os
+import random
 import time
 from collections import Counter
-from contextlib import closing
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,10 +19,13 @@ from degpoly import (
     SimpleGraph,
     basic_facts,
     canonical_form,
+    cartesian_formula,
     classify_all,
+    coeff_sum,
     degree_polynomial_sequence,
     degree_projection,
     erdos_gallai,
+    gale_ryser,
     havel_hakimi,
     iter_labeled_graphs,
     necessary_conditions,
@@ -40,6 +43,8 @@ from degpoly.errors import (
 )
 from helpers import (
     all_graphs,
+    bipartite_degree_pairs,
+    condition_passing_sequences,
     degree_multiset,
     labeled_graph_count,
     labeled_graph_exists,
@@ -47,7 +52,6 @@ from helpers import (
     oracle_erdos_gallai,
     oracle_realize,
     paw_graph,
-    vertex_zero_units,
 )
 
 P = parse_poly
@@ -57,8 +61,8 @@ S2 = PolySequence.parse("2x, x^2, x^2, x, x, x")
 S3 = PolySequence.parse("2x^2, x, x, x, x")
 S4 = PolySequence.parse("2x^2, 2x, 2x, x, x")  # passes (a)(b)(c) yet unrealizable
 SEQ_TWO_REALIZATIONS = PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
-# Order 11, five vertex-0 units; its --all search takes seconds (1,932
-# classes), while its first witness lies in the second unit.
+# Order 11, past the default search bound; its --all search takes seconds
+# (1,932 classes), while its first witness needs no search.
 SEQ_MANY_UNITS = PolySequence.parse(
     "3x^4+x^3, 3x^4+x^3, 3x^4+x^3, 3x^4+x^3, 2x^4+2x^3, 2x^4+2x^3,"
     " 2x^4+2x^3, 3x^4, 3x^4, 2x^4+x^3, 2x^4+x^3"
@@ -122,6 +126,44 @@ class TestErdosGallai:
     def test_equals_oracle(self, d):
         d = sorted(d, reverse=True)
         assert erdos_gallai(d) == oracle_erdos_gallai(d)
+
+
+class TestGaleRyser:
+    def test_fixtures(self):
+        assert gale_ryser((2, 1), (1, 1, 1))
+        assert gale_ryser((1, 2), (1, 1, 1))  # either side in any order
+        assert not gale_ryser((2, 2), (3, 1))
+
+    def test_sum_mismatch(self):
+        assert not gale_ryser((1, 1), (1,))
+        assert not gale_ryser((2, 1), (1, 1))
+
+    def test_demand_larger_than_the_other_side(self):
+        # The sums agree, but one vertex needs more partners than exist.
+        assert not gale_ryser((3,), (2, 1))
+        assert not gale_ryser((2, 1), (3,))
+        assert gale_ryser((3,), (1, 1, 1))
+
+    def test_empty_sides(self):
+        assert gale_ryser((), ())
+        assert gale_ryser((), (0, 0))
+        assert gale_ryser((0,), ())
+        assert not gale_ryser((1,), ())
+        assert not gale_ryser((), (1,))
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gale_ryser((1, -1), (0,))
+
+    def test_equals_bipartite_oracle(self):
+        # Every pair of demand lists with sides of at most 4 vertices and
+        # demands up to 5, so some exceed the other side.
+        for p, q in itertools.product(range(5), repeat=2):
+            realizable = bipartite_degree_pairs(p, q)
+            for left in itertools.combinations_with_replacement(range(5, -1, -1), p):
+                for right in itertools.combinations_with_replacement(range(5, -1, -1), q):
+                    assert gale_ryser(left, right) == ((left, right) in realizable)
+                    assert gale_ryser(left[::-1], right[::-1]) == gale_ryser(left, right)
 
 
 class TestHavelHakimi:
@@ -288,11 +330,15 @@ class TestRealize:
         assert "(c)" in rep.reason
 
     def test_insufficiency_witness(self):
-        rep = realize(S4)
-        assert rep.conditions.all_pass
-        assert rep.searched and rep.exhaustive
-        assert rep.nonisomorphic_count == 0
-        assert rep.realizable is False
+        # The degree-2 entries want 2, 0 and 0 neighbours of degree 2, which
+        # no graph on those three vertices gives: a proof, so no search.
+        for want_all in (True, False):
+            rep = realize(S4, want_all_witnesses=want_all)
+            assert rep.conditions.all_pass
+            assert not rep.searched and rep.exhaustive
+            assert rep.nonisomorphic_count == 0
+            assert rep.realizable is False
+            assert rep.reason == "degree class 2 fails Erdos-Gallai"
 
     def test_non_uniqueness(self):
         rep = realize(SEQ_TWO_REALIZATIONS)
@@ -307,14 +353,32 @@ class TestRealize:
         w = rep.witnesses[0].graph()
         assert (w.n, w.edge_count) == (5, 5) and set(w.degrees()) == {2}
 
-    def test_beyond_bound_is_inconclusive(self):
-        rep = realize(PolySequence.from_polys([P("2x^2")] * 5), max_n=4)
-        assert not rep.searched and rep.realizable is None
+    def test_beyond_bound_gives_a_verdict(self):
+        # Past --max-n, --all reports the verdict and the first witness.
+        seq = PolySequence.from_polys([P("2x^2")] * 5)
+        rep = realize(seq, max_n=4)
+        assert rep.realizable is True and rep.searched and not rep.exhaustive
+        assert rep.witnesses == realize(seq, want_all_witnesses=False).witnesses
+        assert rep.reason == (
+            "1 non-isomorphic realization(s) found; order 5 exceeds the search bound 4"
+        )
 
     def test_search_bound_stops_at_the_canonical_form_bound(self):
+        # Past order 16 there is a verdict but no witness to report.
         rep = realize([P("2x^2")] * 17, max_n=17, want_all_witnesses=False)
-        assert not rep.searched and rep.realizable is None
-        assert rep.reason == "order 17 exceeds the search bound 16"
+        assert rep.realizable is True and not rep.searched and not rep.witnesses
+        assert rep.reason == "realizable; order 17 exceeds the witness bound 16"
+        rep = realize([P("2x^2")] * 17, max_n=17)
+        assert rep.realizable is True and not rep.exhaustive and not rep.witnesses
+        assert rep.reason == "realizable; order 17 exceeds the search bound 16"
+
+    def test_first_witness_needs_no_search_bound(self):
+        # Order 11 is past the default --max-n, which bounds only --all.
+        rep = realize(SEQ_MANY_UNITS, want_all_witnesses=False)
+        assert rep.realizable is True and rep.searched and not rep.exhaustive
+        assert rep.nonisomorphic_count == 1
+        regenerated = degree_polynomial_sequence(rep.witnesses[0].graph())
+        assert regenerated.multiset() == SEQ_MANY_UNITS.multiset()
 
     def test_early_stop(self):
         rep = realize(PolySequence.from_polys([P("x"), P("x")]), want_all_witnesses=False)
@@ -346,18 +410,6 @@ class TestRealize:
         assert all(canonical_form(w.graph()) == w for w in rep.witnesses)
         assert realize(seq, max_n=12, workers=2).to_dict() == rep.to_dict()
 
-    def test_early_stop_with_pool_is_prompt(self):
-        # A regular sequence has a single vertex-0 unit, which leaves the
-        # pool nothing to abandon; this one has several.
-        seq = SEQ_MANY_UNITS
-        assert vertex_zero_units(seq) >= 2
-        t0 = time.perf_counter()
-        pooled = realize(seq, max_n=11, want_all_witnesses=False, workers=4)
-        assert time.perf_counter() - t0 < 2.0
-        serial = realize(seq, max_n=11, want_all_witnesses=False, workers=1)
-        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
-        assert pooled.nonisomorphic_count == 1 and not pooled.exhaustive
-
     def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
         started = []
 
@@ -380,22 +432,6 @@ class TestRealize:
         serial = realize(SEQ_TWO_REALIZATIONS, workers=1)
         assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
 
-    def test_pool_stops_without_draining_the_payloads(self):
-        pulled = []
-
-        def payloads():
-            for _ in range(100_000):
-                pulled.append(None)
-                yield 0.2
-
-        t0 = time.perf_counter()
-        with closing(realizability._ordered_map(time.sleep, payloads(), 2)) as results:
-            assert next(results) is None
-        # Waiting for the calls still running, or for all 100,000 sleeps,
-        # would take far longer.
-        assert time.perf_counter() - t0 < 2.0
-        assert len(pulled) < 100_000
-
     def test_workers_below_one_rejected(self):
         with pytest.raises(BadParamsError):
             realize(S4, workers=0)
@@ -403,17 +439,33 @@ class TestRealize:
             classify_all(3, workers=-1)
 
     def test_failed_witness_recheck_raises_typed_error(self, monkeypatch):
-        # Unrealizable (a degree-2 neighbour of the degree-3 vertex would see
-        # a degree-3 neighbour), yet it passes the conditions.  A vertex key
-        # that calls every neighbour degree 2 lets graphs with its projection
-        # through the search; the re-check must catch them.
-        seq = PolySequence.parse("3x^2, 2x^2, 2x^2, 2x^2, x^2")
-        assert realize(seq).realizable is False
+        # A search that ignores the target lets through every graph with the
+        # projection (3, 3, 2, 2, 2, 2), and the re-check must catch them.
+        real_iter_adj = realizability._iter_adj
         monkeypatch.setattr(
-            realizability, "_vertex_key", lambda degvec, nbrs: ((2, len(nbrs)),)
+            realizability,
+            "_iter_adj",
+            lambda d, first_row, target, twins: real_iter_adj(d, first_row, None, twins),
         )
+        assert realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=False).realizable
         with pytest.raises(WitnessVerificationError):
-            realize(seq)
+            realize(SEQ_TWO_REALIZATIONS)
+
+    def test_search_finding_nothing_raises_typed_error(self, monkeypatch):
+        # The pass proved the sequence realizable, so an empty --all search
+        # is a fault, not a verdict.
+        monkeypatch.setattr(realizability, "_realize_task", lambda payload: set())
+        with pytest.raises(WitnessVerificationError, match="found no realization"):
+            realize(SEQ_TWO_REALIZATIONS)
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_failed_construction_raises_typed_error(self, monkeypatch, n):
+        # A Havel-Hakimi that builds no edges; the constructed graph is
+        # re-checked at every order, also past 16 where it is not reported.
+        monkeypatch.setattr(realizability, "_havel_hakimi_edges", lambda d: [])
+        for want_all in (True, False):
+            with pytest.raises(WitnessVerificationError):
+                realize([P("2x^2")] * n, want_all_witnesses=want_all)
 
 
 @pytest.fixture(scope="module")
@@ -458,17 +510,19 @@ def _near_misses(sequences):
 
 
 class TestOracle:
-    """The pruned search on the sorted assignment against the old search
-    (every assignment, finished graphs filtered by their whole key)."""
+    """``realize`` against the old search (every assignment, finished graphs
+    filtered by their whole key)."""
 
     def test_every_realizable_sequence_up_to_order_six(self, realizable_up_to_six):
         assert len(realizable_up_to_six) == 151
         for seq in realizable_up_to_six:
-            for want_all in (True, False):
-                got = realize(seq, want_all_witnesses=want_all)
-                assert got.realizable is True
-                want = oracle_realize(seq, want_all)
-                assert _report_bytes(got) == _report_bytes(want), (seq, want_all)
+            want = oracle_realize(seq)
+            got = realize(seq)
+            assert _report_bytes(got) == _report_bytes(want), seq
+            first = realize(seq, want_all_witnesses=False)
+            assert first.realizable is True and first.searched and not first.exhaustive
+            assert first.nonisomorphic_count == 1
+            assert first.witnesses[0] in want.witnesses, seq
 
     def test_reports_up_to_order_six_are_pinned(self, realizable_up_to_six):
         digest = hashlib.sha256()
@@ -486,11 +540,124 @@ class TestOracle:
         sequences = small + [s for s in near if len(s) == 6][::10] + [S4]
         assert len(sequences) == 51
         for seq in sequences:
+            assert oracle_realize(seq).realizable is False, seq
             for want_all in (True, False):
                 got = realize(seq, want_all_witnesses=want_all)
-                assert got.realizable is False and got.exhaustive
-                want = oracle_realize(seq, want_all)
-                assert _report_bytes(got) == _report_bytes(want), (seq, want_all)
+                assert got.realizable is False and got.exhaustive and not got.searched
+
+
+def _search_classes(seq):
+    """The certificates the ``--all`` search meets on ``seq``, run whatever
+    the verdict: vertex 0's units, as ``realize`` splits them."""
+    d = degree_projection(seq)
+    target = Counter(map(tuple, seq.entries))
+    units = realizability._twin_prefix_rows(range(1, len(d)), d[1:], d[0])
+    return set().union(*(realizability._realize_task((d, row, target)) for row in units))
+
+
+@pytest.fixture(scope="module")
+def condition_passing_up_to_six():
+    return {n: condition_passing_sequences(n) for n in range(1, 7)}
+
+
+class TestPiecePass:
+    """The degree-class decision against the search and ``classify_all``."""
+
+    def test_agrees_with_classify_all_up_to_order_six(self, condition_passing_up_to_six):
+        # Every sequence that passes the paper's conditions, both ways: the
+        # pass builds a verified graph for each realizable sequence and for
+        # no other.
+        for n, sequences in condition_passing_up_to_six.items():
+            decided = set()
+            for seq in sequences:
+                failed, graph = realizability._piece_pass(seq.entries)
+                if failed is None:
+                    assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
+                    decided.add(seq.multiset())
+            assert decided == {e.sequence.multiset() for e in classify_all(n)}, n
+        counts = [len(s) for s in condition_passing_up_to_six.values()]
+        assert counts == [0, 1, 3, 17, 293, 11473]
+
+    def test_agrees_with_the_search_up_to_order_five(self, condition_passing_up_to_six):
+        sequences = [s for n in range(1, 6) for s in condition_passing_up_to_six[n]]
+        assert len(sequences) == 314
+        for seq in sequences:
+            failed, _ = realizability._piece_pass(seq.entries)
+            assert (failed is None) == bool(_search_classes(seq)), seq
+            assert (failed is None) == oracle_realize(seq).realizable, seq
+
+    def test_agrees_with_the_search_on_near_misses(self, realizable_up_to_six):
+        near = _near_misses(realizable_up_to_six)
+        for seq in near + realizable_up_to_six:
+            failed, _ = realizability._piece_pass(seq.entries)
+            assert (failed is None) == bool(_search_classes(seq)), seq
+
+    def test_first_failing_piece(self):
+        assert realizability._piece_pass(S4.entries) == ((2, 2), None)
+        # 2x wants two degree-1 neighbours; no degree-1 entry names x^2.
+        seq = PolySequence.parse("2x, x, x")
+        assert realizability._piece_pass(seq.entries) == ((2, 1), None)
+        # x^3 names degree 3, which no vertex has.
+        assert realizability._piece_pass([P("x^3"), P("x")]) == ((3, 1), None)
+
+    def test_order_two_hundred_in_well_under_a_second(self):
+        rng = random.Random(20)
+        n = 200
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05]
+        g = SimpleGraph.from_edges(n, edges)
+        assert not g.isolated_vertices()
+        seq = degree_polynomial_sequence(g)
+        t0 = time.perf_counter()
+        rep = realize(seq, want_all_witnesses=False)
+        assert time.perf_counter() - t0 < 0.5
+        assert rep.realizable is True and not rep.witnesses
+
+
+@st.composite
+def graphs_up_to_sixteen(draw):
+    """A graph with 2-16 vertices; each isolated vertex is joined to the
+    next vertex, so none is left."""
+    n = draw(st.integers(2, 16))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, bit in zip(pairs, bits) if bit]
+    degree = Counter(v for pair in edges for v in pair)
+    edges += [(v, (v + 1) % n) for v in range(n) if not degree[v]]
+    return SimpleGraph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_up_to_sixteen())
+def test_piece_pass_realizes_every_graph_sequence(g):
+    seq = degree_polynomial_sequence(g)
+    failed, graph = realizability._piece_pass(seq.entries)
+    assert failed is None
+    assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
+    rep = realize(seq, want_all_witnesses=False)
+    assert rep.realizable is True and rep.nonisomorphic_count == 1
+    witness = degree_polynomial_sequence(rep.witnesses[0].graph())
+    assert witness.multiset() == seq.multiset()
+
+
+def test_cartesian_product_does_not_reflect_realizability():
+    # Neither factor sequence is realizable (both fail condition (c)), yet
+    # the 25 entries the Cartesian closed form gives over S x T are.
+    s = PolySequence.parse("2x, x^2, x^2, x, x^2")
+    t = PolySequence.parse("4x^3, x^4+2x^3, x^4+2x^3, 3x^3, x^4+2x^3")
+    for factor in (s, t):
+        rep = realize(factor)
+        assert rep.realizable is False and "(c)" in rep.reason
+    product = [
+        cartesian_formula(p, q, coeff_sum(p), coeff_sum(q))
+        for p in s.entries
+        for q in t.entries
+    ]
+    assert len(product) == 25
+    rep = realize(product)
+    assert rep.conditions.all_pass and rep.realizable is True
+    failed, graph = realizability._piece_pass(rep.sequence.entries)
+    assert failed is None
+    assert degree_polynomial_sequence(graph).multiset() == rep.sequence.multiset()
 
 
 @st.composite
