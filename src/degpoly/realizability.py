@@ -16,35 +16,30 @@ without isolated vertices has exactly that degree-polynomial sequence.
   Havel-Hakimi and Ryser's greedy, the union is re-checked, and its
   canonical form is the first witness;
 * for every witness (``--all``), an exhaustive search over the labeled
-  graphs with the projected degree multiset, deduplicated up to
+  graphs in which vertex v carries ``seq.entries[v]``, deduplicated up to
   isomorphism by canonical certificate.
 
-The search needs isomorphism classes only, and every graph can be
-relabeled so that its degrees are non-increasing, so it visits the single
-non-increasing degree assignment.  Within it, it backtracks over each
-vertex's partner choices in ascending order; as soon as a vertex's
-neighbourhood is complete its degree polynomial is fixed, and the branch
-dies unless that polynomial is still owed to the target multiset.  Partners
-with the same degree and the same neighbours so far are interchangeable,
-so only rows taking a prefix of each such group are tried (twin-prefix
-rows, ``_twin_prefix_rows``): every class stays the same, and a regular
-sequence's search meets each class a few times instead of once per
-labeling.  Work can be partitioned across processes by vertex 0's
-twin-prefix rows (``realize`` passes each one to ``_iter_adj`` as
-``first_row``).  A leaf is kept as its canonical certificate, one int
+Every realization can be relabeled so that vertex v carries
+``seq.entries[v]``, so the search fixes each entry up front: v's colour is
+its degree class, and it needs coef(p_v, j) partners of class j
+(``_entry_demands``).  Each vertex in turn takes exactly the partners it
+still needs, so every leaf has the sequence by construction.  Rows take a
+prefix of each group of interchangeable partners (``_iter_adj``), so a
+regular sequence meets each class a few times instead of once per
+labeling.  Vertex 0's rows are the work units ``realize`` can spread over
+processes.  A leaf is kept as its canonical certificate, one int
 (``_leaf_certificate``, shared with ``classify_all``), and each class is
-decoded once.  Witnesses come sorted by canonical edges, so reports are
-byte-identical for any worker count.  ``iter_labeled_graphs`` counts
-labeled graphs and so still visits every assignment and every row.
+decoded once and sorted by canonical edges, so reports are byte-identical
+for any worker count.  ``classify_all`` and ``iter_labeled_graphs`` run
+the same search with one colour and the degrees as demands.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .dp import PolySequence, degree_polynomial_sequence
 from .errors import (
@@ -202,11 +197,12 @@ def _havel_hakimi_edges(d: Sequence[int]) -> Optional[list[tuple[int, int]]]:
     in any order, or None if ``d`` is not graphical."""
     if sum(d) % 2:
         return None
-    work = [(deg, i) for i, deg in enumerate(d)]
+    work = [(-deg, i) for i, deg in enumerate(d)]  # (-residual, index): sorts as visited
     edges: list[tuple[int, int]] = []
     while work:
-        work.sort(key=lambda t: (-t[0], t[1]))
+        work.sort()
         deg, i = work[0]
+        deg = -deg
         if deg == 0:
             break
         rest = work[1:]
@@ -214,7 +210,7 @@ def _havel_hakimi_edges(d: Sequence[int]) -> Optional[list[tuple[int, int]]]:
             return None
         if rest[deg - 1][0] == 0:
             return None
-        work = [(dg - 1, j) for dg, j in rest[:deg]] + rest[deg:]
+        work = [(dg + 1, j) for dg, j in rest[:deg]] + rest[deg:]
         edges.extend((min(i, j), max(i, j)) for _, j in rest[:deg])
     return edges
 
@@ -259,86 +255,86 @@ def _twin_prefix_rows(
             prev[v] = last[key]
         last[key] = v
     combos = itertools.combinations(cands, k)
+    if not prev:
+        return combos
     return (c for c in combos if all(prev[v] in c for v in c if v in prev))
 
 
 def _iter_adj(
-    degvec: Sequence[int],
+    colour: Sequence[int],
+    need: Sequence[Sequence[int]],
     first_row: Optional[tuple[int, ...]] = None,
-    target: Optional[Mapping[tuple, int]] = None,
     twins: bool = False,
+    depth: Optional[int] = None,
 ) -> Iterator[list[list[int]]]:
-    """Backtrack over each vertex's partner choices; yields a live adjacency
-    (list of neighbor lists) that the consumer must not keep or mutate.
+    """Backtrack over each vertex's row; yields a live adjacency (list of
+    neighbor lists) that the consumer must not keep or mutate.
 
-    Vertex u's partners among u+1..n-1 are chosen in ascending combinations;
-    branches die as soon as any vertex's remaining degree exceeds the edges
-    still available to it.  ``first_row``, one of vertex 0's combinations,
-    replaces all of them; this is how ``realize`` splits the search.
-    ``target`` counts the vertex keys (see ``_vertex_key``) a graph must
-    have: once u's row is chosen its neighbourhood is complete, and the
-    branch dies unless u's key is still owed, so every yielded graph has
-    exactly that multiset of keys.
+    Each colour's vertices are consecutive, and vertex v still needs
+    ``need[c][v]`` partners of colour c.  Vertex u's row takes that many of
+    each colour c among the later colour-c vertices that still need u's
+    colour: a product over colours of ascending combinations.  A branch
+    dies once a later vertex needs more partners of u's colour than there
+    are later vertices of it, less itself.  ``first_row``, one of vertex 0's
+    rows, replaces all of them; ``depth`` 1 yields after vertex 0's row.
 
-    ``twins`` keeps one row per set of interchangeable partners: u's
-    candidates are grouped by degree and neighbours so far, and only rows
-    taking a prefix of every group are tried (``_twin_prefix_rows``).  The
-    search then reaches every isomorphism class, not every labeled graph.
-    It is sound because swapping two members of a group is an automorphism
-    of the partial graph that preserves ``degvec`` and so every vertex key;
-    a pruned row is such a swap of a kept row, so it reaches only classes
-    the kept row reaches too.  The first graph yielded is unchanged: the
-    kept row takes the smallest members of each group, so it is
-    lexicographically smaller than every row in its orbit, and the first
-    row with a completion is always kept.
+    ``twins`` groups candidates by start demands and neighbours so far (the
+    same groups as by demands now) and takes a prefix of each group
+    (``_twin_prefix_rows``).  Swapping two members of a group is an
+    automorphism of the partial graph that keeps every colour and demand,
+    and a pruned row is such a swap of a kept row, colour by colour, so
+    every class is still reached.  A kept row is the lexicographically
+    smallest of its orbit, so the first graph yielded is unchanged.
     """
-    n = len(degvec)
-    if sum(degvec) % 2:
+    n = len(colour)
+    if sum(map(sum, need)) % 2:
         return
-    if any(x < 0 or x > n - 1 for x in degvec):
-        return
-    residual = list(degvec)
+    need = [list(col) for col in need]
+    start, end = [n] * len(need), [0] * len(need)
+    for v, c in enumerate(colour):
+        start[c], end[c] = min(start[c], v), v + 1
+    kind = list(zip(*need))  # each vertex's start demands
     adj: list[list[int]] = [[] for _ in range(n)]
-    owed = None if target is None else dict(target)
 
     def rec(u: int) -> Iterator[list[list[int]]]:
-        if u == n:
+        if u == n or u == depth:
             yield adj
             return
-        k = residual[u]
-        if k == 0:
-            combos: Iterable[tuple[int, ...]] = ((),)
-        elif u == 0 and first_row is not None:
-            combos = (first_row,)
+        wants, last = need[colour[u]], end[colour[u]]
+        if u == 0 and first_row is not None:
+            combos: Iterable[tuple[int, ...]] = (first_row,)
         else:
-            cands = [v for v in range(u + 1, n) if residual[v] > 0]
-            if twins:
-                keys = [(degvec[v], tuple(adj[v])) for v in cands]
-                combos = _twin_prefix_rows(cands, keys, k)
+            parts = []
+            for c, col in enumerate(need):
+                if col[u]:
+                    cands = [w for w in range(max(u + 1, start[c]), end[c]) if wants[w]]
+                    if twins:
+                        keys = [(kind[w], tuple(adj[w])) for w in cands]
+                        parts.append(_twin_prefix_rows(cands, keys, col[u]))
+                    else:
+                        parts.append(itertools.combinations(cands, col[u]))
+            if not parts:
+                combos = ((),)
+            elif len(parts) == 1:
+                combos = parts[0]
             else:
-                combos = itertools.combinations(cands, k)
-        cap = n - u - 2
+                combos = (sum(row, ()) for row in itertools.product(*parts))
+        cap = last - u - 2
         row = adj[u]
         for combo in combos:
             for v in combo:
-                residual[v] -= 1
+                wants[v] -= 1
                 row.append(v)
                 adj[v].append(u)
-            if k == 0 or all(residual[v] <= cap for v in range(u + 1, n)):
-                # u's row is final here: charge its key if there is a target.
-                if owed is None:
-                    yield from rec(u + 1)
-                else:
-                    key = _vertex_key(degvec, row)
-                    left = owed.get(key, 0)
-                    if left:
-                        owed[key] = left - 1
-                        yield from rec(u + 1)
-                        owed[key] = left
+            if not combo or (
+                (u + 1 == last or max(wants[u + 1 : last]) <= cap)
+                and (last == n or max(wants[last:]) <= cap + 1)
+            ):
+                yield from rec(u + 1)
             for v in combo:
-                residual[v] += 1
+                wants[v] += 1
                 adj[v].pop()
-            del row[len(row) - k :]
+            del row[len(row) - len(combo) :]
 
     try:
         yield from rec(0)
@@ -380,8 +376,9 @@ def iter_labeled_graphs(
             f"exhaustive enumeration limited to n <= {DEFAULT_SEARCH_MAX_N},"
             f" got {len(degrees)}"
         )
+    one_colour = [0] * len(degrees)
     for assignment in _distinct_assignments(degrees):
-        for adj in _iter_adj(assignment):
+        for adj in _iter_adj(one_colour, [assignment]):
             yield _adj_edges(adj)
 
 
@@ -636,11 +633,20 @@ def _check_workers(workers: int) -> None:
         raise BadParamsError(f"workers must be at least 1, got {workers}")
 
 
+def _entry_demands(entries: Sequence[DegreePoly]) -> tuple[list[int], list[list[int]]]:
+    """``_iter_adj``'s colours and demands for vertex v carrying ``entries[v]``
+    (presented, so each degree class is consecutive): a colour per degree
+    that is a class or is named, descending, and coef(p_v, j) partners of
+    degree j for v.  A named degree with no vertices leaves no row."""
+    sums = [coeff_sum(p) for p in entries]
+    degrees = sorted({e for p in entries for e, _ in p}.union(sums), reverse=True)
+    index = {s: c for c, s in enumerate(degrees)}
+    return [index[s] for s in sums], [[p.coefficient(j) for p in entries] for j in degrees]
+
+
 def _realize_task(payload) -> set[int]:
-    """The distinct leaf certificates of one unit's matches."""
-    d_desc, first_row, target = payload
-    leaves = _iter_adj(d_desc, first_row, target, twins=True)
-    return {_leaf_certificate(adj) for adj in leaves}
+    """The distinct leaf certificates of one unit's graphs."""
+    return {_leaf_certificate(adj) for adj in _iter_adj(*payload, twins=True)}
 
 
 def _verify(graph: SimpleGraph, seq: PolySequence) -> None:
@@ -673,10 +679,9 @@ def realize(
     sequence.  The first witness is that graph's canonical form, reported
     up to ``CANONICAL_FORM_MAX_N``.  With ``want_all_witnesses`` and at
     most ``min(max_n, CANONICAL_FORM_MAX_N)`` entries, the labeled graphs
-    on the non-increasing projected degree assignment whose vertex
-    polynomials the sequence owes are enumerated instead, each class
-    decoded once, sorted by canonical edges and re-checked; the report is
-    then exhaustive.  ``workers`` splits only that search.
+    in which vertex v has entry v are searched instead, each class decoded
+    once, sorted by canonical edges and re-checked; the report is then
+    exhaustive.  ``workers`` splits only that search.
     """
     _check_workers(workers)
     conditions = necessary_conditions(seq)
@@ -717,16 +722,10 @@ def realize(
     bound = min(max_n, CANONICAL_FORM_MAX_N)
     exhaustive = want_all_witnesses and n <= bound
     if exhaustive:
-        # Work units are vertex 0's twin-prefix rows, in the order the
-        # search visits them; every projected degree is at least 1, so any
-        # vertex can be a partner, and with no edges yet a partner's key is
-        # its degree.
-        target = Counter(map(tuple, seq.entries))
-        d_desc = conditions.projection
-        payloads = (
-            (d_desc, row, target)
-            for row in _twin_prefix_rows(range(1, n), d_desc[1:], d_desc[0])
-        )
+        # Work units are vertex 0's rows, in the order the search visits them.
+        colour, need = _entry_demands(seq.entries)
+        units = _iter_adj(colour, need, twins=True, depth=1)
+        payloads = ((colour, need, tuple(adj[0])) for adj in units)
         results = _ordered_map(_realize_task, payloads, workers)
         certs = set(itertools.chain.from_iterable(results))
         forms = [CanonicalForm.from_certificate(n, c) for c in certs]
@@ -767,7 +766,7 @@ def _classify_task(d: tuple[int, ...]) -> dict[tuple, set[int]]:
     """Canonical certificates of the graphs with degree multiset ``d``,
     grouped by degree-polynomial key (the sorted vertex keys)."""
     groups: dict[tuple, set[int]] = {}
-    for adj in _iter_adj(d, twins=True):
+    for adj in _iter_adj([0] * len(d), [d], twins=True):
         key = tuple(sorted(_vertex_key(d, row) for row in adj))
         groups.setdefault(key, set()).add(_leaf_certificate(adj))
     return groups

@@ -23,8 +23,8 @@ from degpoly.graphs import EdgeListResult, OpKind
 from degpoly.poly import presentation_key, scale_exponents, shift_exponents
 from degpoly.realizability import (
     RealizabilityReport,
-    _twin_prefix_rows,
-    degree_projection,
+    _entry_demands,
+    _iter_adj,
     iter_labeled_graphs,
     necessary_conditions,
 )
@@ -253,9 +253,9 @@ def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
 
 def vertex_zero_units(seq: PolySequence) -> int:
     """How many work units ``realize`` splits the search of ``seq`` into:
-    vertex 0's twin-prefix rows, grouped by degree."""
-    d = degree_projection(seq)
-    return sum(1 for _ in _twin_prefix_rows(range(1, len(d)), d[1:], d[0]))
+    vertex 0's rows, with each vertex's entry fixed."""
+    colour, need = _entry_demands(seq.entries)
+    return sum(1 for _ in _iter_adj(colour, need, twins=True, depth=1))
 
 
 def dp_multiset(n: int, edges) -> tuple:

@@ -229,7 +229,7 @@ def isolated_free_sweep():
     records = {}
     for n in range(1, 8):
         for degs in _graphical_positive_multisets(n):
-            for adj in _iter_adj(degs):
+            for adj in _iter_adj([0] * n, [degs]):
                 edges = _adj_edges(adj)
                 key = dp_multiset(n, edges)
                 if key not in records:
@@ -271,6 +271,9 @@ def test_criterion_12_worker_determinism():
             PolySequence.parse("2x^2, 2x, 2x, x, x"),
             PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3"),
             PolySequence.from_polys([P("2x^2")] * 5),
+            # Three units: vertex 0, a 2x^2, takes two more 2x^2 vertices,
+            # one of them and one x^2+x, or both x^2+x.
+            PolySequence.parse("2x^2, 2x^2, 2x^2, x^2+x, x^2+x, x^2, x^2"),
         ]
         # The pool must have more than one unit to merge.
         assert max(map(vertex_zero_units, sequences)) >= 2

@@ -33,7 +33,6 @@ from degpoly import (
     realize,
 )
 from degpoly import realizability
-from degpoly.graphs import canonical_encoding
 from degpoly.errors import (
     BadParamsError,
     NotSortedError,
@@ -241,32 +240,55 @@ class TestTwinPrefixRows:
         # isomorphism classes as the full search, and the same first graph.
         for n in range(1, 7):
             for d in realizability._graphical_positive_multisets(n):
-                assert reached(d, twins=True) == reached(d, twins=False), d
+                one_colour = ([0] * n, [d])
+                assert reached(*one_colour, twins=True) == reached(*one_colour, twins=False), d
+
+    def test_same_classes_and_first_leaf_per_entry(self, realizable_up_to_six):
+        # The same with each vertex's entry fixed, demands by degree class:
+        # every realizable sequence up to order 6.
+        for seq in realizable_up_to_six:
+            demands = realizability._entry_demands(seq.entries)
+            with_twins = reached(*demands, twins=True)
+            assert with_twins == reached(*demands, twins=False), seq
+            assert len(with_twins[1]) == realize(seq).nonisomorphic_count, seq
 
     def test_canonical_form_calls_on_a_regular_sequence(self, monkeypatch):
         # Every leaf is labeled once, by its certificate; the twin rule keeps
         # 8 x 2x^2 to a leaf or two per class.
-        calls = []
-        real = realizability.canonical_encoding
-
-        def counted(n, masks):
-            calls.append(n)
-            return real(n, masks)
-
-        monkeypatch.setattr(realizability, "canonical_encoding", counted)
-        rep = realize(PolySequence.from_polys([P("2x^2")] * 8))
+        rep, calls = realize_counting_leaves(monkeypatch, [P("2x^2")] * 8)
         assert rep.nonisomorphic_count == 3
-        assert len(calls) == 4
+        assert calls == 4
+
+    def test_canonical_form_calls_on_many_entries(self, monkeypatch):
+        # Fixing each vertex's entry meets each class about 9 times on
+        # SEQ_MANY_UNITS (17,100 leaves for 1,932 classes); searching by
+        # degree and charging finished rows to the sequence met 54,000.
+        rep, calls = realize_counting_leaves(monkeypatch, SEQ_MANY_UNITS, max_n=11)
+        assert rep.nonisomorphic_count == 1932
+        assert calls <= 17100
 
 
-def reached(d, twins):
+def realize_counting_leaves(monkeypatch, seq, **kwargs):
+    """``realize(seq, **kwargs)`` and how many leaves it labeled."""
+    calls = []
+    real = realizability.canonical_encoding
+
+    def counted(n, masks):
+        calls.append(n)
+        return real(n, masks)
+
+    monkeypatch.setattr(realizability, "canonical_encoding", counted)
+    return realize(seq, **kwargs), len(calls)
+
+
+def reached(colour, need, twins):
     """The first graph ``_iter_adj`` yields and the canonical encodings of
     all it yields."""
     first, codes = None, set()
-    for adj in realizability._iter_adj(d, twins=twins):
+    for adj in realizability._iter_adj(colour, need, twins=twins):
         if first is None:
             first = realizability._adj_edges(adj)
-        codes.add(canonical_encoding(len(d), [sum(1 << w for w in row) for row in adj]))
+        codes.add(realizability._leaf_certificate(adj))
     return first, codes
 
 
@@ -380,7 +402,7 @@ class TestRealize:
         regenerated = degree_polynomial_sequence(rep.witnesses[0].graph())
         assert regenerated.multiset() == SEQ_MANY_UNITS.multiset()
 
-    def test_early_stop(self):
+    def test_first_witness_is_not_exhaustive(self):
         rep = realize(PolySequence.from_polys([P("x"), P("x")]), want_all_witnesses=False)
         assert rep.nonisomorphic_count == 1
         assert not rep.exhaustive
@@ -439,13 +461,13 @@ class TestRealize:
             classify_all(3, workers=-1)
 
     def test_failed_witness_recheck_raises_typed_error(self, monkeypatch):
-        # A search that ignores the target lets through every graph with the
-        # projection (3, 3, 2, 2, 2, 2), and the re-check must catch them.
-        real_iter_adj = realizability._iter_adj
+        # One colour, with each vertex's degree as its demand, lets through
+        # every graph with the projection (3, 3, 2, 2, 2, 2), and the
+        # re-check must catch them.
         monkeypatch.setattr(
             realizability,
-            "_iter_adj",
-            lambda d, first_row, target, twins: real_iter_adj(d, first_row, None, twins),
+            "_entry_demands",
+            lambda entries: ([0] * len(entries), [[coeff_sum(p) for p in entries]]),
         )
         assert realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=False).realizable
         with pytest.raises(WitnessVerificationError):
@@ -524,6 +546,16 @@ class TestOracle:
             assert first.nonisomorphic_count == 1
             assert first.witnesses[0] in want.witnesses, seq
 
+    def test_class_counts_equal_classify_all_up_to_order_seven(self):
+        # The per-entry search against the degree-only one, per sequence.
+        checked = 0
+        for n in range(1, 8):
+            for entry in classify_all(n):
+                rep = realize(entry.sequence)
+                assert rep.nonisomorphic_count == entry.isomorphism_classes, entry
+                checked += 1
+        assert checked == 951
+
     def test_reports_up_to_order_six_are_pinned(self, realizable_up_to_six):
         digest = hashlib.sha256()
         for seq in realizable_up_to_six:
@@ -549,10 +581,10 @@ class TestOracle:
 def _search_classes(seq):
     """The certificates the ``--all`` search meets on ``seq``, run whatever
     the verdict: vertex 0's units, as ``realize`` splits them."""
-    d = degree_projection(seq)
-    target = Counter(map(tuple, seq.entries))
-    units = realizability._twin_prefix_rows(range(1, len(d)), d[1:], d[0])
-    return set().union(*(realizability._realize_task((d, row, target)) for row in units))
+    colour, need = realizability._entry_demands(seq.entries)
+    units = realizability._iter_adj(colour, need, twins=True, depth=1)
+    payloads = [(colour, need, tuple(adj[0])) for adj in units]
+    return set().union(*map(realizability._realize_task, payloads))
 
 
 @pytest.fixture(scope="module")
