@@ -254,7 +254,7 @@ def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
 def vertex_zero_units(seq: PolySequence) -> int:
     """How many work units ``realize`` splits the search of ``seq`` into:
     vertex 0's rows, with each vertex's entry fixed."""
-    colour, need = _entry_demands(seq.entries)
+    _, colour, need = _entry_demands(seq.entries)
     return sum(1 for _ in _iter_adj(colour, need, twins=True, depth=1))
 
 

@@ -184,6 +184,55 @@ class TestHavelHakimi:
             havel_hakimi((1, 2))
 
 
+def _assert_simple_with_degrees(edges, degrees):
+    assert all(u != v for u, v in edges)
+    assert len(set(map(frozenset, edges))) == len(edges)
+    got = Counter(v for edge in edges for v in edge)
+    assert [got[v] for v in range(len(degrees))] == list(degrees)
+
+
+class TestBuildersDecide:
+    """The piece pass trusts each builder to fail exactly when its degrees
+    have no realization, and otherwise to realize them exactly."""
+
+    def test_havel_hakimi_edges_against_erdos_gallai(self):
+        # Every list of length <= 6 with entries <= 6, in every order, and
+        # the length-7 multisets.
+        lists = itertools.chain(
+            itertools.chain.from_iterable(
+                itertools.product(range(7), repeat=n) for n in range(7)
+            ),
+            itertools.combinations_with_replacement(range(7), 7),
+        )
+        checked = 0
+        for d in lists:
+            edges = realizability._havel_hakimi_edges(d)
+            assert (edges is None) == (not erdos_gallai(sorted(d, reverse=True))), d
+            if edges is not None:
+                _assert_simple_with_degrees(edges, d)
+            checked += 1
+        assert checked == 138973
+
+    def test_ryser_edges_against_gale_ryser(self):
+        # Sides of at most 4 vertices and demands up to 5, the
+        # ``TestGaleRyser`` domain, with the right side in every order, since
+        # ties go to the lower index there.  The builder sorts the left side
+        # by demand, so its order only relabels the edges.
+        lefts = [
+            d
+            for n in range(5)
+            for d in itertools.combinations_with_replacement(range(5, -1, -1), n)
+        ]
+        rights = [d for n in range(5) for d in itertools.product(range(6), repeat=n)]
+        for a, b in itertools.product(lefts, rights):
+            right = range(len(a), len(a) + len(b))
+            edges = realizability._ryser_edges(range(len(a)), a, right, b)
+            assert (edges is None) == (not gale_ryser(a, b)), (a, b)
+            if edges is not None:
+                _assert_simple_with_degrees(edges, a + b)
+        assert len(lefts) * len(rights) == 326550
+
+
 class TestEnumeration:
     def test_fixture_counts(self):
         assert labeled_graph_count((2, 2, 2)) == 1
@@ -247,7 +296,7 @@ class TestTwinPrefixRows:
         # The same with each vertex's entry fixed, demands by degree class:
         # every realizable sequence up to order 6.
         for seq in realizable_up_to_six:
-            demands = realizability._entry_demands(seq.entries)
+            demands = realizability._entry_demands(seq.entries)[1:]
             with_twins = reached(*demands, twins=True)
             assert with_twins == reached(*demands, twins=False), seq
             assert len(with_twins[1]) == realize(seq).nonisomorphic_count, seq
@@ -461,14 +510,16 @@ class TestRealize:
             classify_all(3, workers=-1)
 
     def test_failed_witness_recheck_raises_typed_error(self, monkeypatch):
-        # One colour, with each vertex's degree as its demand, lets through
-        # every graph with the projection (3, 3, 2, 2, 2, 2), and the
-        # re-check must catch them.
-        monkeypatch.setattr(
-            realizability,
-            "_entry_demands",
-            lambda entries: ([0] * len(entries), [[coeff_sum(p) for p in entries]]),
-        )
+        # A search unit with one colour, each vertex's degree as its demand,
+        # lets through every graph with the projection (3, 3, 2, 2, 2, 2),
+        # and the re-check must catch them.
+        def degree_search(payload):
+            colour, need, _ = payload
+            degrees = [sum(col) for col in zip(*need)]
+            adjs = realizability._iter_adj([0] * len(colour), [degrees], twins=True)
+            return {realizability._leaf_certificate(adj) for adj in adjs}
+
+        monkeypatch.setattr(realizability, "_realize_task", degree_search)
         assert realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=False).realizable
         with pytest.raises(WitnessVerificationError):
             realize(SEQ_TWO_REALIZATIONS)
@@ -581,7 +632,7 @@ class TestOracle:
 def _search_classes(seq):
     """The certificates the ``--all`` search meets on ``seq``, run whatever
     the verdict: vertex 0's units, as ``realize`` splits them."""
-    colour, need = realizability._entry_demands(seq.entries)
+    _, colour, need = realizability._entry_demands(seq.entries)
     units = realizability._iter_adj(colour, need, twins=True, depth=1)
     payloads = [(colour, need, tuple(adj[0])) for adj in units]
     return set().union(*map(realizability._realize_task, payloads))
