@@ -19,8 +19,8 @@ import contextlib
 import functools
 import gc
 import json
+import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import dp as dp_mod
@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(arg: str) -> str:
     """An argument naming an existing file is read from disk; anything else
     is taken as inline literal content."""
-    path = Path(arg)
     try:
-        if path.is_file():
-            return path.read_text()
+        if os.path.isfile(arg):
+            with open(arg) as f:
+                return f.read()
     except OSError:
         pass
     return arg
@@ -157,13 +157,16 @@ def _load_entries(arg: str) -> list[DegreePoly]:
     return dp_mod.parse_entries(text)
 
 
+# A structured object is a ``to_dict()`` tree, which may share the
+# library's immutable tuples but is never cyclic, so the encoder skips its
+# cycle check.  One encoder serves every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def _emit(out: dict | list[str]) -> None:
-    """Print a structured object as one JSON line, or text lines as they are.
-    A structured object is a ``to_dict()`` tree, which may share the
-    library's immutable tuples but is never cyclic, so the encoder skips its
-    cycle check."""
+    """Print a structured object as one JSON line, or text lines as they are."""
     if isinstance(out, dict):
-        print(json.dumps(out, separators=(",", ":"), check_circular=False))
+        print(_ENCODER.encode(out))
     else:
         sys.stdout.write("".join(line + "\n" for line in out))
 

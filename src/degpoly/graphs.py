@@ -95,10 +95,12 @@ class SimpleGraph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (i, j) with i < j, sorted lexicographically: each
-        sorted row's tail past its own index."""
+        sorted row's tail past its own index; empty rows are skipped."""
         edges: list[tuple[int, int]] = []
-        for u, row in enumerate(map(sorted, self.adj)):
-            edges += zip(itertools.repeat(u), row[bisect.bisect(row, u) :])
+        for u, row in enumerate(self.adj):
+            if row:
+                row = sorted(row)
+                edges += zip(itertools.repeat(u), row[bisect.bisect(row, u) :])
         return tuple(edges)
 
     @property

@@ -14,6 +14,7 @@ reflection and shift) needed by the graph-operation formulas.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Union
@@ -61,7 +62,10 @@ class DegreePoly:
     @classmethod
     def _from_counts(cls, acc: Mapping[int, int]) -> "DegreePoly":
         """Unchecked construction from exact nonnegative integer counts per
-        exponent, as computed by the package; zero counts are dropped."""
+        exponent, as computed by the package; zero counts are dropped.
+        Empty counts, as for every isolated vertex, give one shared zero."""
+        if not acc:
+            return _ZERO
         self = object.__new__(cls)
         items = acc.items()
         if 0 in acc.values():
@@ -172,6 +176,9 @@ class DegreePoly:
 
     def __repr__(self) -> str:
         return f"DegreePoly.parse({format_poly(self)!r})"
+
+
+_ZERO = DegreePoly()
 
 
 @dataclass(frozen=True)
@@ -393,61 +400,56 @@ def format_poly(poly: DegreePoly) -> str:
     return "+".join(parts)
 
 
+# One term of the text syntax, read within a "+"-separated part: ASCII
+# digits, then "x" with an optional caret and exponent digits, whitespace
+# around each token.  Every piece is optional, so the pattern always
+# matches; which groups are empty and where it stops place any error.
+_TERM = re.compile(r"\s*([0-9]*)\s*(x\s*(?:\^\s*([0-9]*))?)?\s*")
+
+
+def _number(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise PolyParseError(
+            f"number of {len(digits)} digits is too long", position
+        ) from None
+
+
+def _missing(text: str, position: int, what: str) -> PolyParseError:
+    """The error for a term or exponent absent at ``position``: a sign
+    there is a negative value."""
+    if text[position : position + 1] in ("-", "−"):
+        return NegativeValueError("negative values are not allowed", position)
+    return PolyParseError(f"expected {what}", position)
+
+
 def parse_poly(text: str) -> DegreePoly:
     """Parse the text syntax: terms like ``2x^2``, ``x``, ``7`` joined by
     ``+``; numbers are ASCII digits; whitespace is ignored; ``0`` is the
-    zero polynomial."""
-    i, n = 0, len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_int(i: int) -> tuple[int, int]:
-        start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        if i == start:
-            raise PolyParseError("expected a number", start)
-        try:
-            return int(text[start:i]), i
-        except ValueError:  # past the interpreter's integer-string digit limit
-            raise PolyParseError(
-                f"number of {i - start} digits is too long", start
-            ) from None
-
-    terms: list[tuple[int, int]] = []
-    i = skip_ws(i)
-    if i == n:
-        raise PolyParseError("empty polynomial", i)
-    while True:
-        i = skip_ws(i)
-        if i < n and text[i] in "-−":
-            raise NegativeValueError("negative values are not allowed", i)
-        coefficient = 1
-        has_coeff = i < n and "0" <= text[i] <= "9"
-        if has_coeff:
-            coefficient, i = read_int(i)
-        i = skip_ws(i)
-        if i < n and text[i] == "x":
-            i += 1
-            exponent = 1
-            i = skip_ws(i)
-            if i < n and text[i] == "^":
-                i = skip_ws(i + 1)
-                if i < n and text[i] in "-−":
-                    raise NegativeValueError("negative values are not allowed", i)
-                exponent, i = read_int(i)
-        elif has_coeff:
+    zero polynomial.  An error carries the position a left-to-right scan
+    stops at."""
+    if not text or text.isspace():
+        raise PolyParseError("empty polynomial", len(text))
+    counts: dict[int, int] = {}
+    start = 0
+    for part in text.split("+"):
+        end = start + len(part)
+        m = _TERM.match(text, start, end)
+        digits, x, exponent_digits = m.groups()
+        coefficient = _number(digits, m.start(1)) if digits else 1
+        if x is None:
+            if not digits:
+                raise _missing(text, m.start(1), "a term")
             exponent = 0
+        elif exponent_digits is None:
+            exponent = 1
+        elif exponent_digits:
+            exponent = _number(exponent_digits, m.start(3))
         else:
-            raise PolyParseError("expected a term", i)
-        terms.append((exponent, coefficient))
-        i = skip_ws(i)
-        if i == n:
-            break
-        if text[i] != "+":
-            raise PolyParseError(f"unexpected character {text[i]!r}", i)
-        i += 1
-    return DegreePoly(terms)
+            raise _missing(text, m.start(3), "a number")
+        if m.end() < end:
+            raise PolyParseError(f"unexpected character {text[m.end()]!r}", m.end())
+        counts[exponent] = counts.get(exponent, 0) + coefficient
+        start = end + 1
+    return DegreePoly._from_counts(counts)

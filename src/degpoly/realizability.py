@@ -24,12 +24,13 @@ its degree class, and it needs coef(p_v, j) partners of class j
 still needs, so every leaf has the sequence by construction.  Rows take a
 prefix of each group of interchangeable partners (``_iter_adj``), so a
 regular sequence meets each class a few times instead of once per
-labeling.  Vertex 0's rows are the work units ``realize`` can spread over
-processes.  A leaf is kept as its canonical certificate, one int
-(``_leaf_certificate``, shared with ``classify_all``), and each class is
-decoded once and sorted by canonical edges, so reports are byte-identical
-for any worker count.  ``classify_all`` and ``iter_labeled_graphs`` run
-the same search with one colour and the degrees as demands.
+labeling.  Vertex 0's rows are the work units ``realize`` spreads over
+processes; one worker runs the search whole.  A leaf is kept as its
+canonical certificate, one int (``_leaf_certificate``, shared with
+``classify_all``), and each class is decoded once and sorted by canonical
+edges, so reports are byte-identical for any worker count.
+``classify_all`` and ``iter_labeled_graphs`` run the same search with one
+colour and the degrees as demands.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # Unused here; the benchmark's tracer wraps degree_polynomial_sequence.
-from .dp import PolySequence, degree_polynomial_sequence, vertex_polynomials
+from .dp import PolySequence, degree_polynomial_sequence
 from .errors import (
     BadParamsError,
     NotSortedError,
@@ -56,7 +57,7 @@ from .graphs import (
     canonical_encoding,
     canonical_form,
 )
-from .poly import DegreePoly, coeff_stats, coeff_sum
+from .poly import DegreePoly, coeff_sum
 
 DEFAULT_SEARCH_MAX_N = 9
 CLASSIFY_MAX_N = 8
@@ -495,7 +496,9 @@ def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
 
     class_sums = [0, 0]  # even-exponent coefficient sums: even class, odd class
     for p, s in zip(entries, sums):
-        class_sums[s % 2] += coeff_stats(p).even_total
+        for exponent, coefficient in p:
+            if not exponent % 2:
+                class_sums[s % 2] += coefficient
     even_class, odd_class = class_sums
     cond_c = odd_class % 2 == 0 and even_class % 2 == 0
 
@@ -547,14 +550,30 @@ def _piece_pass(
     and coef(p_w, i) on class j.  Its builder (Havel-Hakimi, Ryser's greedy)
     fails exactly when it has no realization.  Over the pieces some entry
     names, by descending i and then j, returns the first that fails and no
-    graph, or no piece and the union of the pieces.
+    graph, or no piece and the union of the pieces.  A piece no entry names
+    has no edges and cannot fail, so it is not visited.
     """
-    degrees, colour, need = _entry_demands(entries)
+    return _class_pieces(entries, *_entry_demands(entries))
+
+
+def _class_pieces(
+    entries: Sequence[DegreePoly],
+    degrees: Sequence[int],
+    colour: Sequence[int],
+    need: Sequence[Sequence[int]],
+) -> tuple[Optional[tuple[int, int]], Optional[SimpleGraph]]:
+    """``_piece_pass`` on the demand table ``_entry_demands(entries)``."""
+    index = {s: c for c, s in enumerate(degrees)}
+    named = set()
+    for p, c in zip(entries, colour):
+        for e, _ in p:
+            d = index[e]
+            named.add((c, d) if c <= d else (d, c))
     members = [[] for _ in degrees]
     for v, c in enumerate(colour):
         members[c].append(v)
     edges = []
-    for c, d in itertools.combinations_with_replacement(range(len(degrees)), 2):
+    for c, d in sorted(named):
         left, right = members[c], members[d]
         a = [need[d][v] for v in left]
         if c == d:
@@ -645,14 +664,26 @@ def _check_workers(workers: int) -> None:
 
 
 def _realize_task(payload) -> set[int]:
-    """The distinct leaf certificates of one unit's graphs."""
+    """The distinct leaf certificates of one unit's graphs: ``payload`` is
+    ``(colour, need, first_row)``, and a ``first_row`` of None is the whole
+    search."""
     return {_leaf_certificate(adj) for adj in _iter_adj(*payload, twins=True)}
 
 
-def _verify(graph: SimpleGraph, seq: PolySequence) -> None:
+def _tally(items: Iterable) -> dict:
+    """How many times each item occurs, as a plain dict."""
+    counts: dict = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
+def _verify(graph: SimpleGraph, seq: PolySequence, want: dict) -> None:
     """Insist that ``graph``'s vertex polynomials and ``seq``'s entries are
-    equal multisets (an isolated vertex's zero polynomial is no entry)."""
-    if Counter(vertex_polynomials(graph)) != Counter(seq.entries):
+    equal multisets; ``want`` tallies the entries' pair tuples, counted once
+    per ``realize`` call (an isolated vertex's zero polynomial is no entry)."""
+    degrees = graph.degrees()
+    if _tally(_vertex_key(degrees, row) for row in graph.adj) != want:
         raise WitnessVerificationError(f"witness {list(graph.edges())} fails {seq}")
 
 
@@ -675,7 +706,8 @@ def realize(
     most ``min(max_n, CANONICAL_FORM_MAX_N)`` entries, the labeled graphs
     in which vertex v has entry v are searched instead, each class decoded
     once, sorted by canonical edges and re-checked; the report is then
-    exhaustive.  ``workers`` splits only that search.
+    exhaustive.  ``workers`` splits only that search, at vertex 0's rows;
+    one worker runs it as one unit.
     """
     _check_workers(workers)
     conditions = necessary_conditions(seq)
@@ -702,7 +734,8 @@ def realize(
         )
         return report(False, False, (), False, what)
 
-    failed_piece, graph = _piece_pass(seq.entries)
+    demands = _entry_demands(seq.entries)
+    failed_piece, graph = _class_pieces(seq.entries, *demands)
     if failed_piece is not None:
         i, j = failed_piece
         what = (
@@ -711,15 +744,19 @@ def realize(
             else f"degree classes {i} and {j} fail Gale-Ryser"
         )
         return report(False, True, (), False, what)
-    _verify(graph, seq)
+    want = _tally(p.to_pairs() for p in seq.entries)
+    _verify(graph, seq, want)
 
     bound = min(max_n, CANONICAL_FORM_MAX_N)
     exhaustive = want_all_witnesses and n <= bound
     if exhaustive:
-        # Work units are vertex 0's rows, in the order the search visits them.
-        _, colour, need = _entry_demands(seq.entries)
-        units = _iter_adj(colour, need, twins=True, depth=1)
-        payloads = ((colour, need, tuple(adj[0])) for adj in units)
+        _, colour, need = demands
+        if workers == 1:
+            payloads: Iterable = [(colour, need, None)]
+        else:
+            # Work units are vertex 0's rows, in the order the search visits them.
+            units = _iter_adj(colour, need, twins=True, depth=1)
+            payloads = ((colour, need, tuple(adj[0])) for adj in units)
         results = _ordered_map(_realize_task, payloads, workers)
         certs = set(itertools.chain.from_iterable(results))
         forms = [CanonicalForm.from_certificate(n, c) for c in certs]
@@ -727,7 +764,7 @@ def realize(
         if not forms:
             raise WitnessVerificationError(f"the search found no realization of {seq}")
         for w in forms:
-            _verify(w.graph(), seq)
+            _verify(w.graph(), seq, want)
     elif n <= CANONICAL_FORM_MAX_N:
         forms = [canonical_form(graph)]
     else:

@@ -16,6 +16,8 @@ from degpoly.errors import (
     EdgeListFormatError,
     EmptyInputError,
     InconsistentInputsError,
+    NegativeValueError,
+    PolyParseError,
     SelfLoopError,
     ZeroOperandError,
 )
@@ -293,6 +295,65 @@ def oracle_compare_polys(f: DegreePoly, g: DegreePoly) -> int:
         if a != b:
             return -1 if a < b else 1
     raise AssertionError("distinct polynomials with identical terms")
+
+
+def oracle_parse_poly(text: str) -> DegreePoly:
+    """``parse_poly`` as a character scanner: one position at a time, each
+    error raised where the scan stands."""
+    i, n = 0, len(text)
+
+    def skip_ws(i: int) -> int:
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def read_int(i: int) -> tuple[int, int]:
+        start = i
+        while i < n and "0" <= text[i] <= "9":
+            i += 1
+        if i == start:
+            raise PolyParseError("expected a number", start)
+        try:
+            return int(text[start:i]), i
+        except ValueError:  # past the interpreter's integer-string digit limit
+            raise PolyParseError(
+                f"number of {i - start} digits is too long", start
+            ) from None
+
+    terms: list[tuple[int, int]] = []
+    i = skip_ws(i)
+    if i == n:
+        raise PolyParseError("empty polynomial", i)
+    while True:
+        i = skip_ws(i)
+        if i < n and text[i] in "-−":
+            raise NegativeValueError("negative values are not allowed", i)
+        coefficient = 1
+        has_coeff = i < n and "0" <= text[i] <= "9"
+        if has_coeff:
+            coefficient, i = read_int(i)
+        i = skip_ws(i)
+        if i < n and text[i] == "x":
+            i += 1
+            exponent = 1
+            i = skip_ws(i)
+            if i < n and text[i] == "^":
+                i = skip_ws(i + 1)
+                if i < n and text[i] in "-−":
+                    raise NegativeValueError("negative values are not allowed", i)
+                exponent, i = read_int(i)
+        elif has_coeff:
+            exponent = 0
+        else:
+            raise PolyParseError("expected a term", i)
+        terms.append((exponent, coefficient))
+        i = skip_ws(i)
+        if i == n:
+            break
+        if text[i] != "+":
+            raise PolyParseError(f"unexpected character {text[i]!r}", i)
+        i += 1
+    return DegreePoly(terms)
 
 
 def model_terms(items) -> dict[int, int]:

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, output determinism."""
 
 import gc
+import hashlib
 import itertools
 import json
 import time
@@ -489,6 +490,25 @@ class TestRealize:
             _, out1, _ = run(capsys, *base, *mode, "--workers", "1")
             _, out4, _ = run(capsys, *base, *mode, "--workers", "4")
             assert out1 == out4
+
+    @pytest.mark.parametrize(
+        "entries, max_n, digest",
+        [
+            (["4x^4"] * 10, "12", "c0b1dda6bf27"),
+            # SEQ_MANY_UNITS of test_realize.py: 8 units, 1,932 classes.
+            (["3x^4+x^3"] * 4 + ["2x^4+2x^3"] * 3 + ["3x^4"] * 2 + ["2x^4+x^3"] * 2,
+             "11", "48d0b5e703d3"),
+        ],
+        ids=["10x4x^4", "many-units"],
+    )
+    def test_two_workers_keep_the_pinned_bytes(self, capsys, entries, max_n, digest):
+        # One worker searches in one unit, two split at vertex 0's rows;
+        # both print the bytes pinned before the split.
+        argv = ("--format", "structured", "realize", ", ".join(entries), "--all")
+        for workers in ("1", "2"):
+            code, out, _ = run(capsys, *argv, "--max-n", max_n, "--workers", workers)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest, workers
 
     def test_failed_witness_recheck_is_a_data_error(self, capsys, monkeypatch):
         # A Havel-Hakimi that builds no edges: the constructed graph fails

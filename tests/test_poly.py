@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpoly import (
@@ -34,6 +34,7 @@ from helpers import (
     model_sub,
     model_terms,
     oracle_compare_polys,
+    oracle_parse_poly,
     oracle_sort_polys_desc,
 )
 
@@ -43,6 +44,17 @@ nonzero_polys = st.dictionaries(
     st.integers(0, 6), st.integers(1, 4), min_size=1, max_size=5
 ).map(DegreePoly)
 polys = st.one_of(st.just(DegreePoly.zero()), nonzero_polys)
+
+
+# Parser input: the syntax's characters, both signs, ASCII and Unicode
+# whitespace, digits that are no ASCII digits, and digit runs at and just
+# past the interpreter's 4,300-digit limit on integer strings.
+parser_texts = st.lists(
+    st.sampled_from(
+        list("0123456789x^+-− \t\n\u00a0\u2003\x1c²٣") + ["9" * 4300, "1" * 4301]
+    ),
+    max_size=24,
+).map("".join)
 
 
 def bounded_set(max_exp=4, max_coeff=3):
@@ -439,6 +451,25 @@ class TestTextFormat:
         with pytest.raises(PolyParseError, match="unexpected character '3'") as exc:
             parse_poly("2x3")
         assert exc.value.position == 2
+
+    @settings(max_examples=500)
+    @given(parser_texts)
+    @example("032+ 3")
+    @example("x ^ 2 + 3 x +\u00a0x")
+    @example("x^\u2003−1")
+    @example("2x^" + "1" * 4301 + "+-")
+    def test_agrees_with_the_scanner(self, text):
+        # The same polynomial, or the same error type, message and position.
+        try:
+            want = oracle_parse_poly(text)
+        except PolyParseError as exc:
+            with pytest.raises(PolyParseError) as got:
+                parse_poly(text)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            assert got.value.position == exc.position
+        else:
+            assert parse_poly(text) == want
 
     @given(nonzero_polys)
     def test_roundtrip(self, f):

@@ -51,6 +51,7 @@ from helpers import (
     oracle_erdos_gallai,
     oracle_realize,
     paw_graph,
+    vertex_zero_units,
 )
 
 P = parse_poly
@@ -60,6 +61,8 @@ S2 = PolySequence.parse("2x, x^2, x^2, x, x, x")
 S3 = PolySequence.parse("2x^2, x, x, x, x")
 S4 = PolySequence.parse("2x^2, 2x, 2x, x, x")  # passes (a)(b)(c) yet unrealizable
 SEQ_TWO_REALIZATIONS = PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
+# Order 6 with two work units (vertex 0's rows) and one class.
+SEQ_TWO_UNITS = PolySequence.parse("2x^2, 2x^2, x^2+x, x^2+x, x^2, x^2")
 # Order 11, past the default search bound; its --all search takes seconds
 # (1,932 classes), while its first witness needs no search.
 SEQ_MANY_UNITS = PolySequence.parse(
@@ -317,6 +320,43 @@ class TestTwinPrefixRows:
         assert calls <= 17100
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``multiprocessing.Pool`` replaced by a map in this process; returns
+    the live list of each started pool's process count."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return started
+
+
+def spy_on_units(monkeypatch):
+    """Record the first row of each search unit ``realize`` runs (None for
+    a whole search); returns the live list."""
+    rows = []
+    real = realizability._realize_task
+
+    def recorded(payload):
+        rows.append(payload[2])
+        return real(payload)
+
+    monkeypatch.setattr(realizability, "_realize_task", recorded)
+    return rows
+
+
 def realize_counting_leaves(monkeypatch, seq, **kwargs):
     """``realize(seq, **kwargs)`` and how many leaves it labeled."""
     calls = []
@@ -481,26 +521,31 @@ class TestRealize:
         assert all(canonical_form(w.graph()) == w for w in rep.witnesses)
         assert realize(seq, max_n=12, workers=2).to_dict() == rep.to_dict()
 
-    def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    def test_pool_size_is_capped_at_the_cpu_count(self, serial_pool):
         pooled = realize(SEQ_TWO_REALIZATIONS, workers=10**6)
-        assert started == [os.cpu_count() or 1]
+        assert serial_pool == [os.cpu_count() or 1]
         serial = realize(SEQ_TWO_REALIZATIONS, workers=1)
+        assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+
+    def test_one_worker_searches_in_one_unit(self, monkeypatch):
+        # The whole search, vertex 0's rows included, in one call; the
+        # first witness needs no search.
+        rows = spy_on_units(monkeypatch)
+        for seq in (SEQ_TWO_REALIZATIONS, SEQ_TWO_UNITS):
+            rows.clear()
+            realize(seq)
+            assert rows == [None], seq
+        rows.clear()
+        realize(SEQ_TWO_UNITS, want_all_witnesses=False)
+        assert rows == []
+
+    def test_workers_split_at_vertex_zero_rows(self, monkeypatch, serial_pool):
+        rows = spy_on_units(monkeypatch)
+        pooled = realize(SEQ_TWO_UNITS, workers=2)
+        assert serial_pool == [min(2, os.cpu_count() or 1)]
+        assert len(rows) == vertex_zero_units(SEQ_TWO_UNITS) == 2
+        assert None not in rows and len(set(rows)) == 2
+        serial = realize(SEQ_TWO_UNITS, workers=1)
         assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
 
     def test_workers_below_one_rejected(self):
