@@ -24,11 +24,13 @@ its degree class, and it needs coef(p_v, j) partners of class j
 still needs, so every leaf has the sequence by construction.  Rows take a
 prefix of each group of interchangeable partners (``_iter_adj``), so a
 regular sequence meets each class a few times instead of once per
-labeling.  Vertex 0's rows are the work units ``realize`` spreads over
-processes; one worker runs the search whole.  A leaf is kept as its
-canonical certificate, one int (``_leaf_certificate``, shared with
-``classify_all``), and each class is decoded once and sorted by canonical
-edges, so reports are byte-identical for any worker count.
+labeling.  With p processes, ``realize`` runs p parts, part i labeling
+every p-th leaf from the i-th: each part walks the whole tree, but
+labeling, most of the cost, is shared out on any sequence; one worker
+runs the search whole.  A leaf is kept as its canonical certificate, one
+int (``_leaf_certificate``, shared with ``classify_all``), and each class
+is decoded once and sorted by canonical edges, so reports are
+byte-identical for any worker count.
 ``classify_all`` and ``iter_labeled_graphs`` run the same search with one
 colour and the degrees as demands.
 """
@@ -264,11 +266,7 @@ def _twin_prefix_rows(
 
 
 def _iter_adj(
-    colour: Sequence[int],
-    need: Sequence[Sequence[int]],
-    first_row: Optional[tuple[int, ...]] = None,
-    twins: bool = False,
-    depth: Optional[int] = None,
+    colour: Sequence[int], need: Sequence[Sequence[int]], twins: bool = False
 ) -> Iterator[list[list[int]]]:
     """Backtrack over each vertex's row; yields a live adjacency (list of
     neighbor lists) that the consumer must not keep or mutate.
@@ -278,8 +276,8 @@ def _iter_adj(
     each colour c among the later colour-c vertices that still need u's
     colour: a product over colours of ascending combinations.  A branch
     dies once a later vertex needs more partners of u's colour than there
-    are later vertices of it, less itself.  ``first_row``, one of vertex 0's
-    rows, replaces all of them; ``depth`` 1 yields after vertex 0's row.
+    are later vertices of it, less itself.  The leaves come in one fixed
+    order, so a stride over them splits the search (``_realize_task``).
 
     ``twins`` groups candidates by start demands and neighbours so far (the
     same groups as by demands now) and takes a prefix of each group
@@ -300,28 +298,25 @@ def _iter_adj(
     adj: list[list[int]] = [[] for _ in range(n)]
 
     def rec(u: int) -> Iterator[list[list[int]]]:
-        if u == n or u == depth:
+        if u == n:
             yield adj
             return
         wants, last = need[colour[u]], end[colour[u]]
-        if u == 0 and first_row is not None:
-            combos: Iterable[tuple[int, ...]] = (first_row,)
+        parts = []
+        for c, col in enumerate(need):
+            if col[u]:
+                cands = [w for w in range(max(u + 1, start[c]), end[c]) if wants[w]]
+                if twins:
+                    keys = [(kind[w], tuple(adj[w])) for w in cands]
+                    parts.append(_twin_prefix_rows(cands, keys, col[u]))
+                else:
+                    parts.append(itertools.combinations(cands, col[u]))
+        if not parts:
+            combos: Iterable[tuple[int, ...]] = ((),)
+        elif len(parts) == 1:
+            combos = parts[0]
         else:
-            parts = []
-            for c, col in enumerate(need):
-                if col[u]:
-                    cands = [w for w in range(max(u + 1, start[c]), end[c]) if wants[w]]
-                    if twins:
-                        keys = [(kind[w], tuple(adj[w])) for w in cands]
-                        parts.append(_twin_prefix_rows(cands, keys, col[u]))
-                    else:
-                        parts.append(itertools.combinations(cands, col[u]))
-            if not parts:
-                combos = ((),)
-            elif len(parts) == 1:
-                combos = parts[0]
-            else:
-                combos = (sum(row, ()) for row in itertools.product(*parts))
+            combos = (sum(row, ()) for row in itertools.product(*parts))
         cap = last - u - 2
         row = adj[u]
         for combo in combos:
@@ -541,8 +536,12 @@ def _entry_demands(
 
 def _piece_pass(
     entries: Sequence[DegreePoly],
+    degrees: Sequence[int],
+    colour: Sequence[int],
+    need: Sequence[Sequence[int]],
 ) -> tuple[Optional[tuple[int, int]], Optional[SimpleGraph]]:
-    """Decide ``entries`` by degree class, vertex v carrying ``entries[v]``.
+    """Decide ``entries`` by degree class, vertex v carrying ``entries[v]``;
+    ``degrees``, ``colour`` and ``need`` are ``_entry_demands(entries)``.
 
     Class i is the vertices whose entry has coefficient sum i.  Piece (i, i)
     is a simple graph on class i in which v has degree coef(p_v, i); piece
@@ -553,16 +552,6 @@ def _piece_pass(
     graph, or no piece and the union of the pieces.  A piece no entry names
     has no edges and cannot fail, so it is not visited.
     """
-    return _class_pieces(entries, *_entry_demands(entries))
-
-
-def _class_pieces(
-    entries: Sequence[DegreePoly],
-    degrees: Sequence[int],
-    colour: Sequence[int],
-    need: Sequence[Sequence[int]],
-) -> tuple[Optional[tuple[int, int]], Optional[SimpleGraph]]:
-    """``_piece_pass`` on the demand table ``_entry_demands(entries)``."""
     index = {s: c for c, s in enumerate(degrees)}
     named = set()
     for p, c in zip(entries, colour):
@@ -641,33 +630,39 @@ class RealizabilityReport:
         }
 
 
-def _ordered_map(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
+def _processes(workers: int) -> int:
+    """How many processes to run with: ``workers``, capped at the CPU count,
+    since more only add start-up cost and memory; results are identical for
+    any count.  One worker never asks for the CPU count."""
+    if workers < 1:
+        raise BadParamsError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
+        return 1
+    return min(workers, os.cpu_count() or 1)
+
+
+def _ordered_map(fn: Callable, payloads: Iterable, processes: int) -> Iterator:
     """``fn`` over ``payloads``, results in payload order.
 
-    One worker is the built-in ``map``.  More run the calls in a process
+    One process is the built-in ``map``.  More run the calls in a process
     pool, which reads payloads only as fast as its task pipe drains.
     """
-    if workers == 1:
+    if processes == 1:
         yield from map(fn, payloads)
         return
     from multiprocessing import Pool
 
-    # More processes than CPUs only add start-up cost and memory; results
-    # are identical for any count.
-    with Pool(min(workers, os.cpu_count() or 1)) as pool:
+    with Pool(processes) as pool:
         yield from pool.imap(fn, payloads)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise BadParamsError(f"workers must be at least 1, got {workers}")
-
-
 def _realize_task(payload) -> set[int]:
-    """The distinct leaf certificates of one unit's graphs: ``payload`` is
-    ``(colour, need, first_row)``, and a ``first_row`` of None is the whole
-    search."""
-    return {_leaf_certificate(adj) for adj in _iter_adj(*payload, twins=True)}
+    """The distinct leaf certificates of one part of the search: ``payload``
+    is ``(colour, need, i, k)``, and the part is every k-th leaf from the
+    i-th, so the k parts i = 0..k-1 together meet every leaf once."""
+    colour, need, i, k = payload
+    leaves = itertools.islice(_iter_adj(colour, need, twins=True), i, None, k)
+    return {_leaf_certificate(adj) for adj in leaves}
 
 
 def _tally(items: Iterable) -> dict:
@@ -706,10 +701,11 @@ def realize(
     most ``min(max_n, CANONICAL_FORM_MAX_N)`` entries, the labeled graphs
     in which vertex v has entry v are searched instead, each class decoded
     once, sorted by canonical edges and re-checked; the report is then
-    exhaustive.  ``workers`` splits only that search, at vertex 0's rows;
-    one worker runs it as one unit.
+    exhaustive.  ``workers`` splits only that search: with p processes
+    (``workers``, at most one per CPU), part i labels every p-th leaf from
+    the i-th.  One worker runs it whole, in the calling process.
     """
-    _check_workers(workers)
+    processes = _processes(workers)
     conditions = necessary_conditions(seq)
     seq = conditions.sequence
     n = len(seq)
@@ -735,7 +731,7 @@ def realize(
         return report(False, False, (), False, what)
 
     demands = _entry_demands(seq.entries)
-    failed_piece, graph = _class_pieces(seq.entries, *demands)
+    failed_piece, graph = _piece_pass(seq.entries, *demands)
     if failed_piece is not None:
         i, j = failed_piece
         what = (
@@ -751,13 +747,8 @@ def realize(
     exhaustive = want_all_witnesses and n <= bound
     if exhaustive:
         _, colour, need = demands
-        if workers == 1:
-            payloads: Iterable = [(colour, need, None)]
-        else:
-            # Work units are vertex 0's rows, in the order the search visits them.
-            units = _iter_adj(colour, need, twins=True, depth=1)
-            payloads = ((colour, need, tuple(adj[0])) for adj in units)
-        results = _ordered_map(_realize_task, payloads, workers)
+        payloads = [(colour, need, i, processes) for i in range(processes)]
+        results = _ordered_map(_realize_task, payloads, processes)
         certs = set(itertools.chain.from_iterable(results))
         forms = [CanonicalForm.from_certificate(n, c) for c in certs]
         forms.sort(key=lambda f: f.edges)  # not by certificate: its bit layout is private
@@ -807,7 +798,7 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
     """Group every isomorphism class of graphs on n vertices (no isolated
     vertices) by degree-polynomial sequence; returns each distinct sequence
     with its number of classes, sorted by sequence encoding."""
-    _check_workers(workers)
+    processes = _processes(workers)
     if n < 1:
         raise BadParamsError(f"classification needs n >= 1, got {n}")
     if n > CLASSIFY_MAX_N:
@@ -817,7 +808,7 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
     multisets = _graphical_positive_multisets(n)
     # A key fixes its degree multiset: no two tasks share one.
     counts: dict[tuple, int] = {}
-    for partial in _ordered_map(_classify_task, multisets, workers):
+    for partial in _ordered_map(_classify_task, multisets, processes):
         counts.update(partial)
     return tuple(
         ClassifiedSequence(PolySequence.from_pairs(key), counts[key])

@@ -25,8 +25,6 @@ from degpoly.graphs import EdgeListResult, OpKind
 from degpoly.poly import presentation_key, scale_exponents, shift_exponents
 from degpoly.realizability import (
     RealizabilityReport,
-    _entry_demands,
-    _iter_adj,
     iter_labeled_graphs,
     necessary_conditions,
 )
@@ -251,13 +249,6 @@ def paw_graph() -> SimpleGraph:
 
 def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(sorted(g.degrees(), reverse=True))
-
-
-def vertex_zero_units(seq: PolySequence) -> int:
-    """How many work units ``realize`` splits the search of ``seq`` into:
-    vertex 0's rows, with each vertex's entry fixed."""
-    _, colour, need = _entry_demands(seq.entries)
-    return sum(1 for _ in _iter_adj(colour, need, twins=True, depth=1))
 
 
 def dp_multiset(n: int, edges) -> tuple:

@@ -495,15 +495,15 @@ class TestRealize:
         "entries, max_n, digest",
         [
             (["4x^4"] * 10, "12", "c0b1dda6bf27"),
-            # SEQ_MANY_UNITS of test_realize.py: 8 units, 1,932 classes.
+            # SEQ_MANY_UNITS of test_realize.py: 1,932 classes.
             (["3x^4+x^3"] * 4 + ["2x^4+2x^3"] * 3 + ["3x^4"] * 2 + ["2x^4+x^3"] * 2,
              "11", "48d0b5e703d3"),
         ],
         ids=["10x4x^4", "many-units"],
     )
     def test_two_workers_keep_the_pinned_bytes(self, capsys, entries, max_n, digest):
-        # One worker searches in one unit, two split at vertex 0's rows;
-        # both print the bytes pinned before the split.
+        # One worker searches whole, two split by leaf stride; both print
+        # the bytes pinned before any split.
         argv = ("--format", "structured", "realize", ", ".join(entries), "--all")
         for workers in ("1", "2"):
             code, out, _ = run(capsys, *argv, "--max-n", max_n, "--workers", workers)

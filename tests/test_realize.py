@@ -51,7 +51,6 @@ from helpers import (
     oracle_erdos_gallai,
     oracle_realize,
     paw_graph,
-    vertex_zero_units,
 )
 
 P = parse_poly
@@ -61,8 +60,6 @@ S2 = PolySequence.parse("2x, x^2, x^2, x, x, x")
 S3 = PolySequence.parse("2x^2, x, x, x, x")
 S4 = PolySequence.parse("2x^2, 2x, 2x, x, x")  # passes (a)(b)(c) yet unrealizable
 SEQ_TWO_REALIZATIONS = PolySequence.parse("2x^2+x^3, 2x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3, x^2+x^3")
-# Order 6 with two work units (vertex 0's rows) and one class.
-SEQ_TWO_UNITS = PolySequence.parse("2x^2, 2x^2, x^2+x, x^2+x, x^2, x^2")
 # Order 11, past the default search bound; its --all search takes seconds
 # (1,932 classes), while its first witness needs no search.
 SEQ_MANY_UNITS = PolySequence.parse(
@@ -344,17 +341,18 @@ def serial_pool(monkeypatch):
 
 
 def spy_on_units(monkeypatch):
-    """Record the first row of each search unit ``realize`` runs (None for
-    a whole search); returns the live list."""
-    rows = []
+    """Record the part ``(i, k)`` of each search unit ``realize`` runs and
+    how many classes it found; returns the live list."""
+    units = []
     real = realizability._realize_task
 
     def recorded(payload):
-        rows.append(payload[2])
-        return real(payload)
+        found = real(payload)
+        units.append((payload[2:], len(found)))
+        return found
 
     monkeypatch.setattr(realizability, "_realize_task", recorded)
-    return rows
+    return units
 
 
 def realize_counting_leaves(monkeypatch, seq, **kwargs):
@@ -521,32 +519,61 @@ class TestRealize:
         assert all(canonical_form(w.graph()) == w for w in rep.witnesses)
         assert realize(seq, max_n=12, workers=2).to_dict() == rep.to_dict()
 
-    def test_pool_size_is_capped_at_the_cpu_count(self, serial_pool):
+    def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         pooled = realize(SEQ_TWO_REALIZATIONS, workers=10**6)
-        assert serial_pool == [os.cpu_count() or 1]
+        assert serial_pool == [3]
         serial = realize(SEQ_TWO_REALIZATIONS, workers=1)
         assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
 
     def test_one_worker_searches_in_one_unit(self, monkeypatch):
-        # The whole search, vertex 0's rows included, in one call; the
-        # first witness needs no search.
-        rows = spy_on_units(monkeypatch)
-        for seq in (SEQ_TWO_REALIZATIONS, SEQ_TWO_UNITS):
-            rows.clear()
-            realize(seq)
-            assert rows == [None], seq
-        rows.clear()
-        realize(SEQ_TWO_UNITS, want_all_witnesses=False)
-        assert rows == []
+        # The whole search in one call, without asking for the CPU count;
+        # the first witness needs no search.
+        def no_cpu_count():
+            raise AssertionError("one worker asked for the CPU count")
 
-    def test_workers_split_at_vertex_zero_rows(self, monkeypatch, serial_pool):
-        rows = spy_on_units(monkeypatch)
-        pooled = realize(SEQ_TWO_UNITS, workers=2)
-        assert serial_pool == [min(2, os.cpu_count() or 1)]
-        assert len(rows) == vertex_zero_units(SEQ_TWO_UNITS) == 2
-        assert None not in rows and len(set(rows)) == 2
-        serial = realize(SEQ_TWO_UNITS, workers=1)
+        monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+        units = spy_on_units(monkeypatch)
+        for seq in (SEQ_TWO_REALIZATIONS, [P("4x^4")] * 7):
+            units.clear()
+            realize(seq)
+            assert [part for part, _ in units] == [(0, 1)], seq
+        units.clear()
+        realize([P("4x^4")] * 7, want_all_witnesses=False)
+        assert units == []
+
+    def test_a_regular_sequence_splits_by_leaf_stride(self, monkeypatch, serial_pool):
+        # A regular sequence has a single row for vertex 0, yet each part
+        # of the stride finds a class (order 7 has 6 leaves; order 6 has one).
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        units = spy_on_units(monkeypatch)
+        pooled = realize([P("4x^4")] * 7, workers=2)
+        assert serial_pool == [2]
+        assert [part for part, _ in units] == [(0, 2), (1, 2)]
+        assert all(found for _, found in units)
+        serial = realize([P("4x^4")] * 7, workers=1)
         assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+
+    def test_stride_parts_partition_the_leaves(self, monkeypatch, realizable_up_to_six):
+        # Every leaf certificate the serial search labels, each exactly as
+        # often, in k parts together.
+        labeled = []
+        real = realizability._leaf_certificate
+
+        def recorded(adj):
+            labeled.append(real(adj))
+            return labeled[-1]
+
+        monkeypatch.setattr(realizability, "_leaf_certificate", recorded)
+        for seq in realizable_up_to_six:
+            _, colour, need = realizability._entry_demands(seq.entries)
+            for k in (1, 2, 3):
+                labeled.clear()
+                for i in range(k):
+                    realizability._realize_task((colour, need, i, k))
+                if k == 1:
+                    serial = Counter(labeled)
+                assert Counter(labeled) == serial, (seq, k)
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(BadParamsError):
@@ -559,10 +586,11 @@ class TestRealize:
         # lets through every graph with the projection (3, 3, 2, 2, 2, 2),
         # and the re-check must catch them.
         def degree_search(payload):
-            colour, need, _ = payload
+            colour, need, i, k = payload
             degrees = [sum(col) for col in zip(*need)]
             adjs = realizability._iter_adj([0] * len(colour), [degrees], twins=True)
-            return {realizability._leaf_certificate(adj) for adj in adjs}
+            part = itertools.islice(adjs, i, None, k)
+            return {realizability._leaf_certificate(adj) for adj in part}
 
         monkeypatch.setattr(realizability, "_realize_task", degree_search)
         assert realize(SEQ_TWO_REALIZATIONS, want_all_witnesses=False).realizable
@@ -676,11 +704,14 @@ class TestOracle:
 
 def _search_classes(seq):
     """The certificates the ``--all`` search meets on ``seq``, run whatever
-    the verdict: vertex 0's units, as ``realize`` splits them."""
+    the verdict, as one part."""
     _, colour, need = realizability._entry_demands(seq.entries)
-    units = realizability._iter_adj(colour, need, twins=True, depth=1)
-    payloads = [(colour, need, tuple(adj[0])) for adj in units]
-    return set().union(*map(realizability._realize_task, payloads))
+    return realizability._realize_task((colour, need, 0, 1))
+
+
+def piece_pass(entries):
+    """The degree-class decision on ``entries``, from their demand table."""
+    return realizability._piece_pass(entries, *realizability._entry_demands(entries))
 
 
 @pytest.fixture(scope="module")
@@ -698,7 +729,7 @@ class TestPiecePass:
         for n, sequences in condition_passing_up_to_six.items():
             decided = set()
             for seq in sequences:
-                failed, graph = realizability._piece_pass(seq.entries)
+                failed, graph = piece_pass(seq.entries)
                 if failed is None:
                     assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
                     decided.add(seq.multiset())
@@ -710,23 +741,23 @@ class TestPiecePass:
         sequences = [s for n in range(1, 6) for s in condition_passing_up_to_six[n]]
         assert len(sequences) == 314
         for seq in sequences:
-            failed, _ = realizability._piece_pass(seq.entries)
+            failed, _ = piece_pass(seq.entries)
             assert (failed is None) == bool(_search_classes(seq)), seq
             assert (failed is None) == oracle_realize(seq).realizable, seq
 
     def test_agrees_with_the_search_on_near_misses(self, realizable_up_to_six):
         near = _near_misses(realizable_up_to_six)
         for seq in near + realizable_up_to_six:
-            failed, _ = realizability._piece_pass(seq.entries)
+            failed, _ = piece_pass(seq.entries)
             assert (failed is None) == bool(_search_classes(seq)), seq
 
     def test_first_failing_piece(self):
-        assert realizability._piece_pass(S4.entries) == ((2, 2), None)
+        assert piece_pass(S4.entries) == ((2, 2), None)
         # 2x wants two degree-1 neighbours; no degree-1 entry names x^2.
         seq = PolySequence.parse("2x, x, x")
-        assert realizability._piece_pass(seq.entries) == ((2, 1), None)
+        assert piece_pass(seq.entries) == ((2, 1), None)
         # x^3 names degree 3, which no vertex has.
-        assert realizability._piece_pass([P("x^3"), P("x")]) == ((3, 1), None)
+        assert piece_pass([P("x^3"), P("x")]) == ((3, 1), None)
 
     def test_order_two_hundred_in_well_under_a_second(self):
         rng = random.Random(20)
@@ -758,7 +789,7 @@ def graphs_up_to_sixteen(draw):
 @given(graphs_up_to_sixteen())
 def test_piece_pass_realizes_every_graph_sequence(g):
     seq = degree_polynomial_sequence(g)
-    failed, graph = realizability._piece_pass(seq.entries)
+    failed, graph = piece_pass(seq.entries)
     assert failed is None
     assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
     rep = realize(seq, want_all_witnesses=False)
@@ -783,7 +814,7 @@ def test_cartesian_product_does_not_reflect_realizability():
     assert len(product) == 25
     rep = realize(product)
     assert rep.conditions.all_pass and rep.realizable is True
-    failed, graph = realizability._piece_pass(rep.sequence.entries)
+    failed, graph = piece_pass(rep.sequence.entries)
     assert failed is None
     assert degree_polynomial_sequence(graph).multiset() == rep.sequence.multiset()
 
