@@ -110,8 +110,11 @@ class PolySequence:
         return ", ".join(str(p) for p in self.entries)
 
     def multiset(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Order-insensitive key: the sorted tuple of term encodings."""
-        return tuple(sorted(tuple(p) for p in self.entries))
+        """Order-insensitive key: the entries' ``to_pairs()``, sorted.  The
+        realization check in ``realize`` and the grouping in ``classify_all``
+        compare a graph's vertex polynomials, in this form, against it; an
+        isolated vertex's ``()`` never equals an entry's pairs."""
+        return tuple(sorted(p.to_pairs() for p in self.entries))
 
     def to_pairs(self) -> list[list[list[int]]]:
         """Structured encoding: one pair list per entry, in presentation order."""

@@ -28,11 +28,13 @@ labeling.  With p processes, ``realize`` runs p parts, part i labeling
 every p-th leaf from the i-th: each part walks the whole tree, but
 labeling, most of the cost, is shared out on any sequence; one worker
 runs the search whole.  A leaf is kept as its canonical certificate, one
-int (``_leaf_certificate``, shared with ``classify_all``), and each class
-is decoded once and sorted by canonical edges, so reports are
-byte-identical for any worker count.
-``classify_all`` and ``iter_labeled_graphs`` run the same search with one
-colour and the degrees as demands.
+int (``_leaf_certificate``), and each class is decoded once, sorted by
+canonical edges and re-checked by ``_sequence_key`` against
+``seq.multiset()``, so reports are byte-identical for any worker count.
+``classify_all`` runs the same task, ``_realize_task``, whole once per
+degree multiset, with one colour and the degrees as demands, and groups
+the decoded classes by the same key; ``iter_labeled_graphs`` walks that
+tree without the twin pruning.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .dp import PolySequence, vertex_polynomials
 # Unused here; the benchmark's tracer wraps degree_polynomial_sequence.
-from .dp import PolySequence, degree_polynomial_sequence
+from .dp import degree_polynomial_sequence
 from .errors import (
     BadParamsError,
     NotSortedError,
@@ -343,18 +346,6 @@ def _iter_adj(
 def _leaf_certificate(adj: Sequence[Sequence[int]]) -> int:
     """Canonical certificate of a graph ``_iter_adj`` yields."""
     return canonical_encoding(len(adj), [sum(1 << w for w in row) for row in adj])
-
-
-def _vertex_key(
-    degvec: Sequence[int], neighbors: Iterable[int]
-) -> tuple[tuple[int, int], ...]:
-    """Degree polynomial of a vertex with these neighbors, as its
-    descending (exponent, coefficient) pairs: ``tuple(DegreePoly)``."""
-    counts: dict[int, int] = {}
-    for w in neighbors:
-        dw = degvec[w]
-        counts[dw] = counts.get(dw, 0) + 1
-    return tuple(sorted(counts.items(), reverse=True))
 
 
 def _adj_edges(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -659,26 +650,25 @@ def _ordered_map(fn: Callable, payloads: Iterable, processes: int) -> Iterator:
 def _realize_task(payload) -> set[int]:
     """The distinct leaf certificates of one part of the search: ``payload``
     is ``(colour, need, i, k)``, and the part is every k-th leaf from the
-    i-th, so the k parts i = 0..k-1 together meet every leaf once."""
+    i-th, so the k parts i = 0..k-1 together meet every leaf once.
+    ``realize`` splits one sequence's search into p parts; ``classify_all``
+    sends one whole search, i = 0 and k = 1, per degree multiset."""
     colour, need, i, k = payload
     leaves = itertools.islice(_iter_adj(colour, need, twins=True), i, None, k)
     return {_leaf_certificate(adj) for adj in leaves}
 
 
-def _tally(items: Iterable) -> dict:
-    """How many times each item occurs, as a plain dict."""
-    counts: dict = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    return counts
+def _sequence_key(graph: SimpleGraph) -> tuple:
+    """``graph``'s vertex polynomials as a multiset, in the form of
+    ``PolySequence.multiset()``; an isolated vertex adds ``()``, which no
+    entry's pairs equal."""
+    return tuple(sorted(p.to_pairs() for p in vertex_polynomials(graph)))
 
 
-def _verify(graph: SimpleGraph, seq: PolySequence, want: dict) -> None:
-    """Insist that ``graph``'s vertex polynomials and ``seq``'s entries are
-    equal multisets; ``want`` tallies the entries' pair tuples, counted once
-    per ``realize`` call (an isolated vertex's zero polynomial is no entry)."""
-    degrees = graph.degrees()
-    if _tally(_vertex_key(degrees, row) for row in graph.adj) != want:
+def _verify(graph: SimpleGraph, seq: PolySequence, want: tuple) -> None:
+    """Insist that ``graph`` realizes ``seq``: its ``_sequence_key`` equals
+    ``want``, ``seq.multiset()`` computed once per ``realize`` call."""
+    if _sequence_key(graph) != want:
         raise WitnessVerificationError(f"witness {list(graph.edges())} fails {seq}")
 
 
@@ -740,7 +730,7 @@ def realize(
             else f"degree classes {i} and {j} fail Gale-Ryser"
         )
         return report(False, True, (), False, what)
-    want = _tally(p.to_pairs() for p in seq.entries)
+    want = seq.multiset()
     _verify(graph, seq, want)
 
     bound = min(max_n, CANONICAL_FORM_MAX_N)
@@ -784,20 +774,15 @@ class ClassifiedSequence:
         }
 
 
-def _classify_task(d: tuple[int, ...]) -> dict[tuple, int]:
-    """How many isomorphism classes of graphs with degree multiset ``d``
-    each degree-polynomial key (the sorted vertex keys) has."""
-    groups: dict[tuple, set[int]] = {}
-    for adj in _iter_adj([0] * len(d), [d], twins=True):
-        key = tuple(sorted(_vertex_key(d, row) for row in adj))
-        groups.setdefault(key, set()).add(_leaf_certificate(adj))
-    return {key: len(certs) for key, certs in groups.items()}
-
-
 def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
     """Group every isomorphism class of graphs on n vertices (no isolated
     vertices) by degree-polynomial sequence; returns each distinct sequence
-    with its number of classes, sorted by sequence encoding."""
+    with its number of classes, sorted by sequence encoding.
+
+    Each graphical all-positive degree multiset is one ``_realize_task``
+    search, with one colour and the degrees as demands.  Each class it
+    finds is decoded once and keyed by ``_sequence_key``, in the calling
+    process."""
     processes = _processes(workers)
     if n < 1:
         raise BadParamsError(f"classification needs n >= 1, got {n}")
@@ -805,11 +790,12 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[ClassifiedSequence, ...]:
         raise TooLargeError(
             f"classification limited to n <= {CLASSIFY_MAX_N}, got {n}"
         )
-    multisets = _graphical_positive_multisets(n)
-    # A key fixes its degree multiset: no two tasks share one.
-    counts: dict[tuple, int] = {}
-    for partial in _ordered_map(_classify_task, multisets, processes):
-        counts.update(partial)
+    payloads = (([0] * n, [d], 0, 1) for d in _graphical_positive_multisets(n))
+    counts = Counter(
+        _sequence_key(CanonicalForm.from_certificate(n, cert).graph())
+        for certs in _ordered_map(_realize_task, payloads, processes)
+        for cert in certs
+    )
     return tuple(
         ClassifiedSequence(PolySequence.from_pairs(key), counts[key])
         for key in sorted(counts)

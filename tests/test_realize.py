@@ -897,9 +897,19 @@ class TestClassifyAll:
             classify_all(n)
 
     def test_workers_match(self):
-        a = [e.to_dict() for e in classify_all(4, workers=1)]
-        b = [e.to_dict() for e in classify_all(4, workers=3)]
+        # 118 sequences at n = 6, so a pool carries many degree multisets.
+        a = [e.to_dict() for e in classify_all(6, workers=1)]
+        b = [e.to_dict() for e in classify_all(6, workers=3)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, digest", [(6, "5fd04f0c2bd8"), (7, "e9a0861db89d")]
+    )
+    def test_bytes_pinned(self, n, digest):
+        # sha256 prefix of the structured entries, pinned while grouping
+        # keyed every labeled leaf; n = 8 gave 4db85c301682 (a one-off).
+        out = json.dumps([e.to_dict() for e in classify_all(n)])
+        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 
 
 class TestRemarkProjection:
