@@ -8,11 +8,12 @@ without isolated vertices has exactly that degree-polynomial sequence.
   coefficient sums, support counts, parity of the even-exponent sums split
   by class), with Erdos-Gallai on the integer projection obtained by
   summing each entry's coefficients;
-* an exact decision by degree class (``_piece_pass``): once each vertex
-  carries an entry, the edges split into independent pieces, a simple
-  graph within each class and a bipartite graph between two, and the
-  greedy that builds a piece (Havel-Hakimi, Ryser's) decides it.  The
-  union is re-checked, and its canonical form is the first witness;
+* an exact decision by degree class (``_piece_pass``, one pass over the
+  entries' terms): once each vertex carries an entry, the edges split into
+  independent pieces, a simple graph within each class and a bipartite
+  graph between two, and the greedy that builds a piece (Havel-Hakimi,
+  Ryser's) decides it.  The union is re-checked, and its canonical form
+  is the first witness;
 * for every witness (``--all``), an exhaustive search over the labeled
   graphs in which vertex v carries ``seq.entries[v]``, deduplicated up to
   isomorphism by canonical certificate.
@@ -20,28 +21,28 @@ without isolated vertices has exactly that degree-polynomial sequence.
 Every realization can be relabeled so that vertex v carries
 ``seq.entries[v]``, so the search fixes each entry up front: v's colour is
 its degree class, and it needs coef(p_v, j) partners of class j
-(``_entry_demands``).  Each vertex in turn takes exactly the partners it
-still needs, so every leaf has the sequence by construction.  Rows take a
-prefix of each group of interchangeable partners (``_iter_adj``), so a
-regular sequence meets each class a few times instead of once per
-labeling.  With p processes, ``realize`` runs p parts, part i labeling
-every p-th leaf from the i-th: each part walks the whole tree, but
-labeling, most of the cost, is shared out on any sequence; one worker
-runs the search whole.  A leaf is kept as its canonical certificate, one
-int (``_leaf_certificate``), and each class is decoded once, sorted by
-canonical edges and re-checked by ``_sequence_key`` against
-``seq.multiset()``, so reports are byte-identical for any worker count.
-``classify_all`` runs the same task, ``_realize_task``, whole once per
-degree multiset, with one colour and the degrees as demands, and groups
-the decoded classes by the same key; ``iter_labeled_graphs`` walks that
-tree without the twin pruning.
+(``_entry_demands``, a dense table built only for this search).  Each
+vertex in turn takes exactly the partners it still needs, so every leaf
+has the sequence by construction.  Rows take a prefix of each group of
+interchangeable partners (``_iter_adj``), so a regular sequence meets each
+class a few times instead of once per labeling.  With p processes,
+``realize`` runs p parts, part i labeling every p-th leaf from the i-th:
+each part walks the whole tree, but labeling, most of the cost, is shared
+out on any sequence; one worker runs the search whole.  A leaf is kept as
+its canonical certificate, one int (``_leaf_certificate``), and each class
+is decoded once, sorted by canonical edges and re-checked by
+``_sequence_key`` against ``seq.multiset()``, so reports are
+byte-identical for any worker count.  ``classify_all`` runs the same task,
+``_realize_task``, whole once per degree multiset, with one colour and the
+degrees as demands, and groups the decoded classes by the same key;
+``iter_labeled_graphs`` walks that tree without the twin pruning.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -510,10 +511,10 @@ def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
 
 def _entry_demands(
     entries: Sequence[DegreePoly],
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """The degree classes, vertex v carrying ``entries[v]``: a colour per
-    degree that is a class or is named, in descending ``degrees``; v's
-    colour, its class; and v's coef(p_v, degrees[c]) in ``need[c][v]``.
+) -> tuple[list[int], list[list[int]]]:
+    """The ``--all`` search's demand table, vertex v carrying ``entries[v]``:
+    a colour per degree that is a class or is named, in descending order;
+    v's colour, its class; and v's coef(p_v, c's degree) in ``need[c][v]``.
     Presented entries make each class consecutive, as ``_iter_adj`` needs."""
     sums = [coeff_sum(p) for p in entries]
     degrees = sorted({e for p in entries for e, _ in p}.union(sums), reverse=True)
@@ -522,47 +523,44 @@ def _entry_demands(
     for v, p in enumerate(entries):
         for e, k in p:
             need[index[e]][v] = k
-    return degrees, [index[s] for s in sums], need
+    return [index[s] for s in sums], need
 
 
 def _piece_pass(
     entries: Sequence[DegreePoly],
-    degrees: Sequence[int],
-    colour: Sequence[int],
-    need: Sequence[Sequence[int]],
 ) -> tuple[Optional[tuple[int, int]], Optional[SimpleGraph]]:
-    """Decide ``entries`` by degree class, vertex v carrying ``entries[v]``;
-    ``degrees``, ``colour`` and ``need`` are ``_entry_demands(entries)``.
+    """Decide ``entries`` by degree class, vertex v carrying ``entries[v]``.
 
     Class i is the vertices whose entry has coefficient sum i.  Piece (i, i)
     is a simple graph on class i in which v has degree coef(p_v, i); piece
     (i, j), i > j, is a bipartite graph with degrees coef(p_v, j) on class i
-    and coef(p_w, i) on class j.  Its builder (Havel-Hakimi, Ryser's greedy)
-    fails exactly when it has no realization.  Over the pieces some entry
-    names, by descending i and then j, returns the first that fails and no
-    graph, or no piece and the union of the pieces.  A piece no entry names
-    has no edges and cannot fail, so it is not visited.
+    and coef(p_w, i) on class j.  Each term k*x^e of v's entry, of sum s,
+    puts v and k on v's side of piece (max(s, e), min(s, e)), so a side
+    holds the vertices that name the other class, ascending, and their
+    demands.  A piece's builder (Havel-Hakimi, Ryser's greedy) fails
+    exactly when it has no realization.  Over the pieces, by descending i
+    and then j, returns the first that fails and no graph, or no piece
+    and the union of the pieces.
     """
-    index = {s: c for c, s in enumerate(degrees)}
-    named = set()
-    for p, c in zip(entries, colour):
-        for e, _ in p:
-            d = index[e]
-            named.add((c, d) if c <= d else (d, c))
-    members = [[] for _ in degrees]
-    for v, c in enumerate(colour):
-        members[c].append(v)
+    # Per piece: left vertices, their demands, right vertices, theirs.
+    pieces = defaultdict(lambda: ([], [], [], []))
+    for v, p in enumerate(entries):
+        s = coeff_sum(p)
+        for e, k in p:
+            key, side = ((s, e), 0) if s >= e else ((e, s), 2)
+            sides = pieces[key]
+            sides[side].append(v)
+            sides[side + 1].append(k)
     edges = []
-    for c, d in sorted(named):
-        left, right = members[c], members[d]
-        a = [need[d][v] for v in left]
-        if c == d:
+    for key in sorted(pieces, reverse=True):
+        left, a, right, b = pieces[key]
+        if key[0] == key[1]:
             piece = _havel_hakimi_edges(a)
             piece = piece and [(left[x], left[y]) for x, y in piece]
         else:
-            piece = _ryser_edges(left, a, right, [need[c][w] for w in right])
+            piece = _ryser_edges(left, a, right, b)
         if piece is None:
-            return (degrees[c], degrees[d]), None
+            return key, None
         edges += piece
     return None, SimpleGraph.from_edges(len(entries), edges)
 
@@ -593,7 +591,6 @@ def _ryser_edges(
 class RealizabilityReport:
     sequence: PolySequence
     conditions: ConditionReport
-    searched: bool
     exhaustive: bool
     witnesses: tuple[CanonicalForm, ...]
     realizable: bool
@@ -606,6 +603,10 @@ class RealizabilityReport:
     @property
     def nonisomorphic_count(self) -> int:
         return len(self.witnesses)
+
+    @property
+    def searched(self) -> bool:
+        return bool(self.witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -700,11 +701,10 @@ def realize(
     seq = conditions.sequence
     n = len(seq)
 
-    def report(searched, exhaustive, witnesses, realizable, reason):
+    def report(exhaustive, witnesses, realizable, reason):
         return RealizabilityReport(
             sequence=seq,
             conditions=conditions,
-            searched=searched,
             exhaustive=exhaustive,
             witnesses=tuple(witnesses),
             realizable=realizable,
@@ -718,10 +718,9 @@ def realize(
             if failed == "projection"
             else f"necessary condition {failed} fails"
         )
-        return report(False, False, (), False, what)
+        return report(False, (), False, what)
 
-    demands = _entry_demands(seq.entries)
-    failed_piece, graph = _piece_pass(seq.entries, *demands)
+    failed_piece, graph = _piece_pass(seq.entries)
     if failed_piece is not None:
         i, j = failed_piece
         what = (
@@ -729,14 +728,14 @@ def realize(
             if i == j
             else f"degree classes {i} and {j} fail Gale-Ryser"
         )
-        return report(False, True, (), False, what)
+        return report(True, (), False, what)
     want = seq.multiset()
     _verify(graph, seq, want)
 
     bound = min(max_n, CANONICAL_FORM_MAX_N)
     exhaustive = want_all_witnesses and n <= bound
     if exhaustive:
-        _, colour, need = demands
+        colour, need = _entry_demands(seq.entries)
         payloads = [(colour, need, i, processes) for i in range(processes)]
         results = _ordered_map(_realize_task, payloads, processes)
         certs = set(itertools.chain.from_iterable(results))
@@ -756,7 +755,7 @@ def realize(
         reason += f"; order {n} exceeds the search bound {bound}"
     elif not forms:
         reason += f"; order {n} exceeds the witness bound {CANONICAL_FORM_MAX_N}"
-    return report(bool(forms), exhaustive, forms, True, reason)
+    return report(exhaustive, forms, True, reason)
 
 
 # -- classification of all sequences at a fixed order ----------------------------------

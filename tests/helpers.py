@@ -7,6 +7,7 @@ paths that the library's faster implementations are checked against.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter, defaultdict
 from typing import Optional
 
@@ -245,6 +246,37 @@ def oracle_lexicographic_formula(
 def paw_graph() -> SimpleGraph:
     """Triangle a, b, c with a pendant vertex d hanging off c."""
     return SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)], "abcd")
+
+
+def gnm_graph(n: int, m: int, seed: int) -> SimpleGraph:
+    """A seeded random graph with m distinct edges on n vertices, each
+    isolated vertex then joined to the next."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    degree = Counter(v for e in edges for v in e)
+    edges |= {tuple(sorted((v, (v + 1) % n))) for v in range(n) if not degree[v]}
+    return SimpleGraph.from_edges(n, sorted(edges))
+
+
+def preferential_attachment_graph(n: int, k: int, seed: int) -> SimpleGraph:
+    """A seeded preferential-attachment graph: K_{k+1}, then each new vertex
+    joined to k distinct earlier ones, each drawn with probability
+    proportional to its degree."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    ends = [v for e in edges for v in e]
+    for v in range(k + 1, n):
+        targets = set()
+        while len(targets) < k:
+            targets.add(rng.choice(ends))
+        for u in sorted(targets):
+            edges.append((u, v))
+            ends += (u, v)
+    return SimpleGraph.from_edges(n, edges)
 
 
 def degree_multiset(g: SimpleGraph) -> tuple[int, ...]:
@@ -607,6 +639,4 @@ def oracle_realize(seq: PolySequence) -> RealizabilityReport:
         reason = f"{len(forms)} non-isomorphic realization(s) found"
     else:
         reason = "exhaustive search found no realization"
-    return RealizabilityReport(
-        seq, conditions, True, True, tuple(forms), bool(forms), reason
-    )
+    return RealizabilityReport(seq, conditions, True, tuple(forms), bool(forms), reason)

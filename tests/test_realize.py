@@ -45,12 +45,14 @@ from helpers import (
     bipartite_degree_pairs,
     condition_passing_sequences,
     degree_multiset,
+    gnm_graph,
     labeled_graph_count,
     labeled_graph_exists,
     mask_graph,
     oracle_erdos_gallai,
     oracle_realize,
     paw_graph,
+    preferential_attachment_graph,
 )
 
 P = parse_poly
@@ -296,7 +298,7 @@ class TestTwinPrefixRows:
         # The same with each vertex's entry fixed, demands by degree class:
         # every realizable sequence up to order 6.
         for seq in realizable_up_to_six:
-            demands = realizability._entry_demands(seq.entries)[1:]
+            demands = realizability._entry_demands(seq.entries)
             with_twins = reached(*demands, twins=True)
             assert with_twins == reached(*demands, twins=False), seq
             assert len(with_twins[1]) == realize(seq).nonisomorphic_count, seq
@@ -566,7 +568,7 @@ class TestRealize:
 
         monkeypatch.setattr(realizability, "_leaf_certificate", recorded)
         for seq in realizable_up_to_six:
-            _, colour, need = realizability._entry_demands(seq.entries)
+            colour, need = realizability._entry_demands(seq.entries)
             for k in (1, 2, 3):
                 labeled.clear()
                 for i in range(k):
@@ -705,13 +707,8 @@ class TestOracle:
 def _search_classes(seq):
     """The certificates the ``--all`` search meets on ``seq``, run whatever
     the verdict, as one part."""
-    _, colour, need = realizability._entry_demands(seq.entries)
+    colour, need = realizability._entry_demands(seq.entries)
     return realizability._realize_task((colour, need, 0, 1))
-
-
-def piece_pass(entries):
-    """The degree-class decision on ``entries``, from their demand table."""
-    return realizability._piece_pass(entries, *realizability._entry_demands(entries))
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +726,7 @@ class TestPiecePass:
         for n, sequences in condition_passing_up_to_six.items():
             decided = set()
             for seq in sequences:
-                failed, graph = piece_pass(seq.entries)
+                failed, graph = realizability._piece_pass(seq.entries)
                 if failed is None:
                     assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
                     decided.add(seq.multiset())
@@ -741,23 +738,48 @@ class TestPiecePass:
         sequences = [s for n in range(1, 6) for s in condition_passing_up_to_six[n]]
         assert len(sequences) == 314
         for seq in sequences:
-            failed, _ = piece_pass(seq.entries)
+            failed, _ = realizability._piece_pass(seq.entries)
             assert (failed is None) == bool(_search_classes(seq)), seq
             assert (failed is None) == oracle_realize(seq).realizable, seq
 
     def test_agrees_with_the_search_on_near_misses(self, realizable_up_to_six):
         near = _near_misses(realizable_up_to_six)
         for seq in near + realizable_up_to_six:
-            failed, _ = piece_pass(seq.entries)
+            failed, _ = realizability._piece_pass(seq.entries)
             assert (failed is None) == bool(_search_classes(seq)), seq
 
     def test_first_failing_piece(self):
-        assert piece_pass(S4.entries) == ((2, 2), None)
+        assert realizability._piece_pass(S4.entries) == ((2, 2), None)
         # 2x wants two degree-1 neighbours; no degree-1 entry names x^2.
         seq = PolySequence.parse("2x, x, x")
-        assert piece_pass(seq.entries) == ((2, 1), None)
+        assert realizability._piece_pass(seq.entries) == ((2, 1), None)
         # x^3 names degree 3, which no vertex has.
-        assert piece_pass([P("x^3"), P("x")]) == ((3, 1), None)
+        assert realizability._piece_pass([P("x^3"), P("x")]) == ((3, 1), None)
+        # 2x^3 wants two degree-3 neighbours, but no degree-3 entry names
+        # degree 2, so piece (3, 2) has an empty left side.
+        seq = PolySequence.parse("3x^3, 3x^3, 3x^3, 3x^3, 2x^3")
+        assert necessary_conditions(seq).all_pass
+        assert realizability._piece_pass(seq.entries) == ((3, 2), None)
+
+    # SHA-256 of repr(graph.edges()) for the graph the pass builds from each
+    # presented sequence; the builders' tie-breaking fixes every edge.
+    EDGES_SHA256 = {
+        ("gnm", 200): "f60be43ca3651a39f0ab8a171fbfc57f3d2bbed257d39fbfb03794d73120ae69",
+        ("pa", 200): "9191f5d3227ad32c680d30e6a237641d4059463d428706953fb97424c8a4167a",
+        ("gnm", 1000): "7034a1f2ff652bcb7ae88b286faa19d923f3d9a3425c7925e88907796b4e8de7",
+        ("pa", 1000): "6f274dfe988b5c6ab8a1b085bbff163e28e1fb6b1e7e73224cf8c8cd6357aae4",
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(EDGES_SHA256))
+    def test_edge_sets_pinned(self, kind, n):
+        if kind == "gnm":
+            g = gnm_graph(n, 6 * n, n)
+        else:
+            g = preferential_attachment_graph(n, 6, n)
+        failed, graph = realizability._piece_pass(degree_polynomial_sequence(g).entries)
+        assert failed is None
+        digest = hashlib.sha256(repr(graph.edges()).encode()).hexdigest()
+        assert digest == self.EDGES_SHA256[kind, n]
 
     def test_order_two_hundred_in_well_under_a_second(self):
         rng = random.Random(20)
@@ -789,7 +811,7 @@ def graphs_up_to_sixteen(draw):
 @given(graphs_up_to_sixteen())
 def test_piece_pass_realizes_every_graph_sequence(g):
     seq = degree_polynomial_sequence(g)
-    failed, graph = piece_pass(seq.entries)
+    failed, graph = realizability._piece_pass(seq.entries)
     assert failed is None
     assert degree_polynomial_sequence(graph).multiset() == seq.multiset()
     rep = realize(seq, want_all_witnesses=False)
@@ -814,7 +836,7 @@ def test_cartesian_product_does_not_reflect_realizability():
     assert len(product) == 25
     rep = realize(product)
     assert rep.conditions.all_pass and rep.realizable is True
-    failed, graph = piece_pass(rep.sequence.entries)
+    failed, graph = realizability._piece_pass(rep.sequence.entries)
     assert failed is None
     assert degree_polynomial_sequence(graph).multiset() == rep.sequence.multiset()
 
