@@ -15,7 +15,6 @@ single JSON object.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -60,22 +59,31 @@ def _int_at_least(low: int):
     return convert
 
 
+FORMATS = ("text", "structured")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing does not change it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and each command's own parser, built once per
+    process: parsing does not change them."""
     parser = _Parser(prog="degpoly", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format",
-        choices=("text", "structured"),
+        choices=FORMATS,
         default="text",
         help="output format (structured prints one JSON object)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p_dp = sub.add_parser("dp", help="degree polynomials of a graph")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
+
+    p_dp = command("dp", "degree polynomials of a graph")
     p_dp.add_argument("graph", help="edge-list file path or inline edge list")
 
-    p_family = sub.add_parser("family", help="degree polynomial sequence of a family")
+    p_family = command("family", "degree polynomial sequence of a family")
     p_family.add_argument("kind", choices=graphs.FAMILY_KINDS)
     p_family.add_argument("params", nargs="+", type=int)
     p_family.add_argument(
@@ -84,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the closed form instead of building the graph",
     )
 
-    p_op = sub.add_parser("op", help="apply a graph operation")
+    p_op = command("op", "apply a graph operation")
     p_op.add_argument("kind", choices=[k.value for k in OpKind])
     p_op.add_argument("graph1", help="edge-list file path or inline edge list")
     p_op.add_argument("graph2", nargs="?", help="second operand (binary operations)")
@@ -95,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_op.add_argument("--dot", action="store_true", help="emit the result as DOT")
 
-    p_check = sub.add_parser("check", help="necessary conditions on a sequence")
+    p_check = command("check", "necessary conditions on a sequence")
     p_check.add_argument("sequence", help="sequence file path or inline sequence")
 
-    p_realize = sub.add_parser("realize", help="realizability verdict and witnesses")
+    p_realize = command("realize", "realizability verdict and witnesses")
     p_realize.add_argument("sequence", help="sequence file path or inline sequence")
     p_realize.add_argument(
         "--max-n",
@@ -114,23 +122,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--dot", action="store_true", help="emit witnesses as DOT")
     p_realize.add_argument("--workers", type=_int_at_least(1), default=1)
 
-    p_classify = sub.add_parser(
-        "classify", help="all degree polynomial sequences at one order"
-    )
+    p_classify = command("classify", "all degree polynomial sequences at one order")
     p_classify.add_argument("--n", type=_int_at_least(1), required=True)
     p_classify.add_argument("--workers", type=_int_at_least(1), default=1)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, or the same exit.
+
+    The full parser hands everything after the command name to that
+    command's parser and only adds ``format`` and ``command``.  So an
+    optional leading ``--format X`` and the command name are peeled here,
+    and the rest goes to the command's parser alone; whatever else the
+    argv holds, or that parser leaves over, goes through the full parser,
+    whose messages and exit codes stay argparse's own."""
+    parser, commands = _parsers()
+    fmt, at = "text", 0
+    if len(argv) > 1 and argv[0] == "--format" and argv[1] in FORMATS:
+        fmt, at = argv[1], 2
+    command = commands.get(argv[at]) if len(argv) > at else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[at + 1 :])
+        if not rest:
+            args.format, args.command = fmt, argv[at]
+            return args
+    return parser.parse_args(argv)
 
 
 def _read_input(arg: str) -> str:
     """An argument naming an existing file is read from disk; anything else
     is taken as inline literal content."""
     try:
-        if os.path.isfile(arg):
+        # access() reports a missing path without the exception that
+        # isfile's stat raises and catches; a NUL raises ValueError.
+        if os.access(arg, os.F_OK) and os.path.isfile(arg):
             with open(arg) as f:
                 return f.read()
-    except OSError:
+    except (OSError, ValueError):
         pass
     return arg
 
@@ -161,12 +196,20 @@ def _load_entries(arg: str) -> list[DegreePoly]:
 # library's immutable tuples but is never cyclic, so the encoder skips its
 # cycle check.  One encoder serves every call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# ``_ENCODER.encode`` builds json's C encoder on every call; this is the one
+# it builds (no cycle markers, ASCII strings, no indent), made once.  None
+# where json has no C accelerator, and then ``encode`` serves.
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator,
+    _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 
 def _emit(out: dict | list[str]) -> None:
     """Print a structured object as one JSON line, or text lines as they are."""
     if isinstance(out, dict):
-        print(_ENCODER.encode(out))
+        print("".join(_C_ENCODER(out, 0)) if _C_ENCODER else _ENCODER.encode(out))
     else:
         sys.stdout.write("".join(line + "\n" for line in out))
 
@@ -347,32 +390,25 @@ _HANDLERS = {
 }
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the block with the cyclic collector disabled, then restore the
-    caller's state: a caller that had it disabled keeps it disabled.  No
-    command builds reference cycles, so a collection would find nothing."""
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    # The command runs with the cyclic collector disabled, and the caller's
+    # state is restored after: a caller that had it disabled keeps it
+    # disabled.  No command builds reference cycles, so a collection would
+    # find nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        with _collector_paused():
-            return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args)
     except DegpolyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -49,21 +49,28 @@ def degree_polynomial(g: SimpleGraph, v) -> DegreePoly:
     return DegreePoly._from_counts(counts)
 
 
-def vertex_polynomials(g: SimpleGraph) -> tuple[DegreePoly, ...]:
-    """Every vertex's degree polynomial, in index order: the same values as
-    ``degree_polynomial(g, v)`` for each v, with the degrees read once.
-    (On CPython 3.11 this loop beats ``Counter(map(degrees.__getitem__,
-    row))``.)"""
+def vertex_polynomial_pairs(g: SimpleGraph) -> list[tuple[tuple[int, int], ...]]:
+    """Every vertex's degree polynomial as its stored pairs, in index order:
+    its neighbours' (degree, count) pairs, highest degree first, with the
+    degrees read once; an isolated vertex gives ``()``.  (On CPython 3.11
+    this loop beats ``Counter(map(degrees.__getitem__, row))``.)"""
     degrees = g.degrees()
-    from_counts = DegreePoly._from_counts
-    polys = []
+    pairs = []
     for row in g.adj:
         counts: dict[int, int] = {}
         for w in row:
             d = degrees[w]
             counts[d] = counts.get(d, 0) + 1
-        polys.append(from_counts(counts))
-    return tuple(polys)
+        pairs.append(tuple(sorted(counts.items(), reverse=True)))
+    return pairs
+
+
+def vertex_polynomials(g: SimpleGraph) -> tuple[DegreePoly, ...]:
+    """Every vertex's degree polynomial, in index order: the same values as
+    ``degree_polynomial(g, v)`` for each v.  A vertex's coefficients sum to
+    its degree, so each is built unchecked from its pairs."""
+    trusted = DegreePoly._from_pairs
+    return tuple(map(trusted, vertex_polynomial_pairs(g), map(len, g.adj)))
 
 
 def graph_degree_polynomial(g: SimpleGraph) -> DegreePoly:
@@ -114,7 +121,7 @@ class PolySequence:
         realization check in ``realize`` and the grouping in ``classify_all``
         compare a graph's vertex polynomials, in this form, against it; an
         isolated vertex's ``()`` never equals an entry's pairs."""
-        return tuple(sorted(p.to_pairs() for p in self.entries))
+        return tuple(sorted([p._pairs for p in self.entries]))
 
     def to_pairs(self) -> list[list[list[int]]]:
         """Structured encoding: one pair list per entry, in presentation order."""
@@ -128,7 +135,7 @@ def parse_entries(text: str) -> list[DegreePoly]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
         for part in line.split(","):
-            if not part.strip():
+            if not part or part.isspace():
                 continue
             try:
                 polys.append(parse_poly(part))

@@ -47,6 +47,14 @@ from .errors import (
 )
 
 CANONICAL_FORM_MAX_N = 16
+# ``sum(map(BIT, row))`` is a row's adjacency mask, summed without a
+# Python frame per neighbour.
+BIT = (1).__lshift__
+# The default labels v0..v{n-1} of each order up to CANONICAL_FORM_MAX_N,
+# formatted once: every witness and decoded class is built with them.
+_DEFAULT_LABELS = tuple(
+    tuple(f"v{i}" for i in range(n)) for n in range(CANONICAL_FORM_MAX_N + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,10 @@ class SimpleGraph:
     ) -> "SimpleGraph":
         """Build a graph; duplicate edges collapse silently, self-loops raise."""
         if labels is None:
-            labels = tuple(f"v{i}" for i in range(n))
+            if 0 <= n <= CANONICAL_FORM_MAX_N:
+                labels = _DEFAULT_LABELS[n]
+            else:
+                labels = tuple(f"v{i}" for i in range(n))
         else:
             labels = tuple(labels)
         rows: list[set[int]] = [set() for _ in range(n)]
@@ -91,7 +102,7 @@ class SimpleGraph:
         return len(self.adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.adj)
+        return tuple(map(len, self.adj))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (i, j) with i < j, sorted lexicographically: each
@@ -488,7 +499,7 @@ def _refine(
             pieces = [buckets[key] for key in sorted(buckets)]
             last = mask
             for piece in pieces[:-1]:
-                piece_mask = sum(1 << v for v in piece)
+                piece_mask = sum(map(BIT, piece))
                 last ^= piece_mask
                 new_masks.append(piece_mask)
                 next_splitters.append(piece_mask)
@@ -568,7 +579,7 @@ def canonical_encoding(n: int, adj_masks: list[int]) -> int:
     for v in range(n):
         by_degree.setdefault(adj_masks[v].bit_count(), []).append(v)
     initial = [by_degree[d] for d in sorted(by_degree)]
-    initial_masks = [sum(1 << v for v in cell) for cell in initial]
+    initial_masks = [sum(map(BIT, cell)) for cell in initial]
     twins: list[int] = []  # computed at the first non-discrete refinement
 
     best = -1
@@ -632,7 +643,7 @@ def canonical_form(g: SimpleGraph) -> CanonicalForm:
         raise TooLargeError(
             f"canonical form limited to n <= {CANONICAL_FORM_MAX_N}, got {g.n}"
         )
-    adj_masks = [sum(1 << w for w in row) for row in g.adj]
+    adj_masks = [sum(map(BIT, row)) for row in g.adj]
     return CanonicalForm.from_certificate(g.n, canonical_encoding(g.n, adj_masks))
 
 

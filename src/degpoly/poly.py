@@ -75,6 +75,18 @@ class DegreePoly:
         return self
 
     @classmethod
+    def _from_pairs(
+        cls, pairs: tuple[tuple[int, int], ...], total: int
+    ) -> "DegreePoly":
+        """Unchecked construction from pairs already in stored form
+        (descending exponents, nonzero coefficients) and their coefficient
+        sum, as the package computes them."""
+        self = object.__new__(cls)
+        self._pairs = pairs
+        self._total = total
+        return self
+
+    @classmethod
     def zero(cls) -> "DegreePoly":
         return cls()
 
@@ -311,9 +323,8 @@ def sort_polys_desc(polys: Iterable[DegreePoly]) -> list[DegreePoly]:
     out: list[DegreePoly] = []
     group: list[DegreePoly] = []
     group_sum = None
-    for (total, _), p in sorted(
-        ((presentation_key(p), p) for p in counts), reverse=True
-    ):
+    for p in sorted(counts, key=presentation_key, reverse=True):
+        total = p._total
         if total != group_sum:
             if not total:
                 raise ZeroOperandError("cannot present the zero polynomial")
@@ -361,10 +372,7 @@ def shift_exponents(f: DegreePoly, k: int) -> DegreePoly:
         raise ValueError(f"shift must be nonnegative, got {k}")
     if not isinstance(k, int):
         raise TypeError(f"shift must be an integer, got {k!r}")
-    out = object.__new__(DegreePoly)
-    out._pairs = tuple([(e + k, c) for e, c in f._pairs])
-    out._total = f._total
-    return out
+    return DegreePoly._from_pairs(tuple([(e + k, c) for e, c in f._pairs]), f._total)
 
 
 def reflect_exponents(f: DegreePoly, n: int) -> DegreePoly:
@@ -407,13 +415,10 @@ def format_poly(poly: DegreePoly) -> str:
 _TERM = re.compile(r"\s*([0-9]*)\s*(x\s*(?:\^\s*([0-9]*))?)?\s*")
 
 
-def _number(digits: str, position: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # past the interpreter's integer-string digit limit
-        raise PolyParseError(
-            f"number of {len(digits)} digits is too long", position
-        ) from None
+def _too_long(digits: str, position: int) -> PolyParseError:
+    """The error for a number past the interpreter's integer-string digit
+    limit, on which ``int`` raises ValueError."""
+    return PolyParseError(f"number of {len(digits)} digits is too long", position)
 
 
 def _missing(text: str, position: int, what: str) -> PolyParseError:
@@ -437,7 +442,10 @@ def parse_poly(text: str) -> DegreePoly:
         end = start + len(part)
         m = _TERM.match(text, start, end)
         digits, x, exponent_digits = m.groups()
-        coefficient = _number(digits, m.start(1)) if digits else 1
+        try:
+            coefficient = int(digits) if digits else 1
+        except ValueError:
+            raise _too_long(digits, m.start(1)) from None
         if x is None:
             if not digits:
                 raise _missing(text, m.start(1), "a term")
@@ -445,7 +453,10 @@ def parse_poly(text: str) -> DegreePoly:
         elif exponent_digits is None:
             exponent = 1
         elif exponent_digits:
-            exponent = _number(exponent_digits, m.start(3))
+            try:
+                exponent = int(exponent_digits)
+            except ValueError:
+                raise _too_long(exponent_digits, m.start(3)) from None
         else:
             raise _missing(text, m.start(3), "a number")
         if m.end() < end:

@@ -41,12 +41,13 @@ degrees as demands, and groups the decoded classes by the same key;
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .dp import PolySequence, vertex_polynomials
+from .dp import PolySequence, vertex_polynomial_pairs
 # Unused here; the benchmark's tracer wraps degree_polynomial_sequence.
 from .dp import degree_polynomial_sequence
 from .errors import (
@@ -57,6 +58,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .graphs import (
+    BIT,
     CANONICAL_FORM_MAX_N,
     CanonicalForm,
     SimpleGraph,
@@ -73,7 +75,7 @@ CLASSIFY_MAX_N = 8
 
 
 def _require_sorted(d: Sequence[int]) -> None:
-    if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
+    if any(map(operator.lt, d, d[1:])):
         raise NotSortedError(f"degree sequence must be non-increasing: {tuple(d)}")
     if d and d[-1] < 0:
         raise ValueError("degrees must be nonnegative")
@@ -124,8 +126,8 @@ def basic_facts(d: Sequence[int]) -> BasicFacts:
     n = len(d)
     total = sum(d)
     even_sum = total % 2 == 0
-    max_ok = all(0 <= x <= n - 1 for x in d)
-    all_positive = n > 0 and all(x > 0 for x in d)
+    max_ok = not d or (min(d) >= 0 and max(d) <= n - 1)
+    all_positive = n > 0 and min(d) > 0
     if all_positive:
         in_range = 2 * ((n + 1) // 2) <= total <= n * (n - 1)
         has_repeat = len(set(d)) < n
@@ -144,21 +146,23 @@ def erdos_gallai(d: Sequence[int]) -> bool:
 
     Linear time: the entries >= j are a prefix d[:big] of the sorted
     sequence, so past index j each of them adds j to the right side and the
-    rest add their suffix sum.
+    rest, d[big:], add their sum; once big <= j the right side is the sum
+    of d[j:].
     """
     _require_sorted(d)
     n = len(d)
-    if sum(d) % 2:
+    total = sum(d)
+    if total % 2:
         return False
-    suffix = list(itertools.accumulate(reversed(d), initial=0))[::-1]
     prefix = 0
-    big = n
+    big, big_sum = n, 0
     for j in range(1, n + 1):
         prefix += d[j - 1]
         while big and d[big - 1] < j:
             big -= 1
-        split = max(j, big)
-        if prefix > j * (j - 1) + j * (split - j) + suffix[split]:
+            big_sum += d[big]
+        right = j * (big - j) + big_sum if big > j else total - prefix
+        if prefix > j * (j - 1) + right:
             return False
     return True
 
@@ -200,16 +204,16 @@ def havel_hakimi(d: Sequence[int]) -> tuple[bool, Optional[SimpleGraph]]:
 
 def _havel_hakimi_edges(d: Sequence[int]) -> Optional[list[tuple[int, int]]]:
     """The edges Havel-Hakimi builds on vertices 0..n-1 of degrees ``d``,
-    in any order, or None if ``d`` is not graphical."""
+    each pair in either orientation, or None if ``d`` is not graphical."""
     n = len(d)
-    work = sorted(i - n * deg for i, deg in enumerate(d) if deg)
+    work = sorted([i - n * deg for i, deg in enumerate(d) if deg])
     edges: list[tuple[int, int]] = []
     while work and work[0] < 0:
         deg, i = divmod(work.pop(0), n)
-        partners = _take(work, -deg, n)
-        if partners is None:
+        taken = _take(work, -deg, n)
+        if taken is None:
             return None
-        edges += [(min(i, j), max(i, j)) for j in partners]
+        edges += [(i, x % n) for x in taken]
     return edges
 
 
@@ -217,13 +221,14 @@ def _take(work: list[int], k: int, n: int) -> Optional[list[int]]:
     """The builders' partner step.  ``work`` holds sorted keys index -
     n * residual (index < n): largest residual first, ties by lower index.
     The first k lose a unit and are re-sorted in place (two runs, merged
-    in linear time); returns their indices, or None if fewer than k have any."""
+    in linear time); returns their keys as they were, whose indices are
+    ``key % n``, or None if fewer than k have any residual."""
     if k > len(work) or (k and work[k - 1] >= 0):
         return None
     taken = work[:k]
-    work[:k] = [x + n for x in taken]
+    work[:k] = map(n.__add__, taken)
     work.sort()
-    return [x % n for x in taken]
+    return taken
 
 
 # -- exhaustive labeled-graph enumeration ------------------------------------------
@@ -310,7 +315,7 @@ def _iter_adj(
         for c, col in enumerate(need):
             if col[u]:
                 cands = [w for w in range(max(u + 1, start[c]), end[c]) if wants[w]]
-                if twins:
+                if twins and col[u] < len(cands):  # else one row or none
                     keys = [(kind[w], tuple(adj[w])) for w in cands]
                     parts.append(_twin_prefix_rows(cands, keys, col[u]))
                 else:
@@ -346,7 +351,7 @@ def _iter_adj(
 
 def _leaf_certificate(adj: Sequence[Sequence[int]]) -> int:
     """Canonical certificate of a graph ``_iter_adj`` yields."""
-    return canonical_encoding(len(adj), [sum(1 << w for w in row) for row in adj])
+    return canonical_encoding(len(adj), [sum(map(BIT, row)) for row in adj])
 
 
 def _adj_edges(adj: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
@@ -468,24 +473,21 @@ def necessary_conditions(seq: Iterable[DegreePoly]) -> ConditionReport:
     total = sum(sums)
     cond_a = total % 2 == 0
 
-    count_by_sum = Counter(sums)
+    count_by_sum: dict[int, int] = {}
+    for s in sums:
+        count_by_sum[s] = count_by_sum.get(s, 0) + 1
+    # (b) keeps its first violation; (c) sums even-exponent coefficients
+    # by class: even class, odd class.
     cond_b_violation = None
-    for j, p in enumerate(entries):
-        for exponent, coefficient in p:
-            others = count_by_sum[exponent]
-            if sums[j] == exponent:
-                others -= 1
-            if others < coefficient:
-                cond_b_violation = (j, exponent, coefficient)
-                break
-        if cond_b_violation:
-            break
-
-    class_sums = [0, 0]  # even-exponent coefficient sums: even class, odd class
-    for p, s in zip(entries, sums):
+    class_sums = [0, 0]
+    for j, (p, s) in enumerate(zip(entries, sums)):
         for exponent, coefficient in p:
             if not exponent % 2:
                 class_sums[s % 2] += coefficient
+            if cond_b_violation is None:
+                others = count_by_sum.get(exponent, 0) - (s == exponent)
+                if others < coefficient:
+                    cond_b_violation = (j, exponent, coefficient)
     even_class, odd_class = class_sums
     cond_c = odd_class % 2 == 0 and even_class % 2 == 0
 
@@ -543,12 +545,14 @@ def _piece_pass(
     and the union of the pieces.
     """
     # Per piece: left vertices, their demands, right vertices, theirs.
-    pieces = defaultdict(lambda: ([], [], [], []))
+    pieces: dict[tuple[int, int], tuple[list[int], ...]] = {}
     for v, p in enumerate(entries):
         s = coeff_sum(p)
         for e, k in p:
             key, side = ((s, e), 0) if s >= e else ((e, s), 2)
-            sides = pieces[key]
+            sides = pieces.get(key)
+            if sides is None:
+                sides = pieces[key] = ([], [], [], [])
             sides[side].append(v)
             sides[side + 1].append(k)
     edges = []
@@ -572,15 +576,16 @@ def _ryser_edges(
     None, exactly when the degrees fail Gale-Ryser, if partners with demand
     run out or right-side demand is left."""
     n = len(b)
-    work = sorted(y - n * deg for y, deg in enumerate(b) if deg)
+    work = sorted([y - n * deg for y, deg in enumerate(b) if deg])
     edges = []
     for x in sorted(range(len(left)), key=a.__getitem__, reverse=True):
         if not a[x]:
             break
-        partners = _take(work, a[x], n)
-        if partners is None:
+        taken = _take(work, a[x], n)
+        if taken is None:
             return None
-        edges += [(left[x], right[y]) for y in partners]
+        u = left[x]
+        edges += [(u, right[y % n]) for y in taken]
     return None if work and work[0] < 0 else edges
 
 
@@ -663,7 +668,7 @@ def _sequence_key(graph: SimpleGraph) -> tuple:
     """``graph``'s vertex polynomials as a multiset, in the form of
     ``PolySequence.multiset()``; an isolated vertex adds ``()``, which no
     entry's pairs equal."""
-    return tuple(sorted(p.to_pairs() for p in vertex_polynomials(graph)))
+    return tuple(sorted(vertex_polynomial_pairs(graph)))
 
 
 def _verify(graph: SimpleGraph, seq: PolySequence, want: tuple) -> None:

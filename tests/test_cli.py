@@ -6,6 +6,7 @@ import itertools
 import json
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -541,6 +542,18 @@ class TestClassify:
         assert "error: TooLargeError" in err
 
 
+BAD_NUMERIC_FLAGS = [
+    ("classify", "--n", "-1"),
+    ("classify", "--n", "0"),
+    ("classify", "--n", "3", "--workers", "0"),
+    ("realize", "x, x", "--max-n", "-1"),
+    ("realize", "x, x", "--max-n", "two"),
+    ("realize", "x, x", "--workers", "0"),
+    ("realize", "x, x", "--workers", "-3"),
+    ("realize", "x, x", "--all", "--workers", "1.5"),
+]
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "dp", "--bogus", "a b")
@@ -551,19 +564,7 @@ class TestUsage:
         code, _, err = run(capsys)
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("classify", "--n", "-1"),
-            ("classify", "--n", "0"),
-            ("classify", "--n", "3", "--workers", "0"),
-            ("realize", "x, x", "--max-n", "-1"),
-            ("realize", "x, x", "--max-n", "two"),
-            ("realize", "x, x", "--workers", "0"),
-            ("realize", "x, x", "--workers", "-3"),
-            ("realize", "x, x", "--all", "--workers", "1.5"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS)
     def test_bad_numeric_flag_exits_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -574,3 +575,86 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "realize" in out
+
+
+def _golden_argvs() -> list[list[str]]:
+    corpus = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    return [case["argv"] for _, case in sorted(corpus.items())]
+
+
+# Argument lists at the edges of the dispatch: help at both levels,
+# abbreviated and attached top-level options, options after the command,
+# unknown commands, leftover and missing arguments.
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--format", "structured", "-h"],
+    ["realize", "-h"],
+    ["--format", "structured", "realize", "--help"],
+    ["classify", "-h"],
+    ["--format"],
+    ["--format", "json", "realize", "x, x"],
+    ["--form", "structured", "realize", "x, x"],
+    ["--format=structured", "realize", "x, x"],
+    ["realize", "x, x", "--format", "structured"],
+    ["realize", "x, x", "--format=text"],
+    ["--format", "text", "--format", "structured", "realize", "x, x"],
+    ["bogus"],
+    ["--format", "structured", "bogus", "x, x"],
+    ["realiz", "x, x"],
+    ["realize", "x, x", "extra"],
+    ["--format", "structured", "realize", "x, x", "--bogus"],
+    ["realize", "x, x", "--al"],
+    ["realize", "x, x", "--work", "2"],
+    ["realize", "--", "x, x"],
+    ["realize", "x, x", "--"],
+    ["realize"],
+    ["--format", "structured", "realize"],
+    ["check"],
+    ["op", "join"],
+    ["family", "cycle"],
+    ["classify"],
+    ["dp", "a b", "c d"],
+    *(list(argv) for argv in BAD_NUMERIC_FLAGS),
+]
+
+
+def _outcome(parse, argv, capsys):
+    """What parsing ``argv`` gives: the namespace's fields, or the exit code
+    with everything printed."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("exit", exc.code, captured.out, captured.err)
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+    return ("args", vars(args))
+
+
+class TestDispatch:
+    """``main`` hands a command's arguments to that command's parser alone;
+    ``cli._parse`` must answer every argument list exactly as the full
+    parser does, namespace or exit code and every byte printed."""
+
+    @pytest.mark.parametrize("argv", _golden_argvs() + USAGE_ARGVS, ids=repr)
+    def test_same_as_full_parser(self, capsys, argv):
+        full = _outcome(cli.build_parser().parse_args, argv, capsys)
+        assert _outcome(cli._parse, argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "x, x"],
+            ["--format", "structured", "realize", "x, x", "--all"],
+            ["--format", "text", "realize", "x, x", "--max-n", "4", "--workers", "1"],
+        ],
+    )
+    def test_realize_skips_the_full_parser(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser was entered")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""

@@ -31,6 +31,7 @@ from degpoly import (
     necessary_conditions,
     parse_poly,
     realize,
+    vertex_polynomials,
 )
 from degpoly import realizability
 from degpoly.errors import (
@@ -702,6 +703,22 @@ class TestOracle:
             for want_all in (True, False):
                 got = realize(seq, want_all_witnesses=want_all)
                 assert got.realizable is False and got.exhaustive and not got.searched
+
+
+def test_sequence_key_equals_the_vertex_polynomials():
+    # The re-check's key, counted straight into pairs, against the key read
+    # off the polynomial objects; sparse draws leave isolated vertices.
+    rng = random.Random(20240630)
+    isolated = 0
+    for n in range(10):
+        for prob in (0.15, 0.4, 0.7):
+            for _ in range(12):
+                edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < prob]
+                g = SimpleGraph.from_edges(n, edges)
+                isolated += bool(g.isolated_vertices())
+                want = tuple(sorted(p.to_pairs() for p in vertex_polynomials(g)))
+                assert realizability._sequence_key(g) == want, (n, edges)
+    assert isolated >= 50
 
 
 def _search_classes(seq):
